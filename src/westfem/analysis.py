@@ -16,15 +16,6 @@ def _sample_s(q: int, samples_per_slab: int | None) -> np.ndarray:
     return np.linspace(0.0, 1.0, m)
 
 
-def _slab_rows(sol: DiscreteSolution, n: int, svec: np.ndarray, deriv: int) -> np.ndarray:
-    """Coefficient rows of u (deriv=0) or dt u (deriv=1) at slab-local points."""
-    tab = shifted_legendre_table(sol.q, svec, nderiv=deriv)
-    if deriv == 0:
-        b = tab[0, 1:] - ((-1.0) ** np.arange(1, sol.q + 1))[:, None]
-        return sol.bp_values[n] + b.T @ sol.modes[n]
-    return (tab[1, 1:].T @ sol.modes[n]) / sol.partition.taus[n]
-
-
 def err_linf_l2(sol: DiscreteSolution, ref, mode: str,
                 samples_per_slab: int | None = None,
                 quad_degree: int | None = None) -> float:
@@ -50,7 +41,7 @@ def err_linf_l2(sol: DiscreteSolution, ref, mode: str,
         form = space.mass if mode == "dt" else space.stiffness
         worst = 0.0
         for n in range(sol.partition.n_slabs):
-            d = _slab_rows(sol, n, svec, deriv) - _slab_rows(ref, n, svec, deriv)
+            d = sol.rows(n, svec, deriv) - ref.rows(n, svec, deriv)
             worst = max(worst, float(np.einsum("sd,sd->s", d, (form @ d.T).T).max()))
         return float(np.sqrt(worst))
 
@@ -61,7 +52,7 @@ def err_linf_l2(sol: DiscreteSolution, ref, mode: str,
     worst = 0.0
     for n in range(sol.partition.n_slabs):
         t0, tau = sol.partition.breakpoints[n], sol.partition.taus[n]
-        rows = _slab_rows(sol, n, svec, deriv)
+        rows = sol.rows(n, svec, deriv)
         if mode == "dt":
             vals = ed.function_values_multi(rows)
             for s, fe in zip(svec, vals):
@@ -117,8 +108,8 @@ def energy_norm(sol: DiscreteSolution, c: float = 1.0, delta: float = 0.0,
     gram = (d1 * w) @ d1.T                       # (q+1, q+1)
     for n in range(sol.partition.n_slabs):
         tau = sol.partition.taus[n]
-        dt_rows = _slab_rows(sol, n, svec, 1)
-        u_rows = _slab_rows(sol, n, svec, 0)
+        dt_rows = sol.rows(n, svec, 1)
+        u_rows = sol.rows(n, svec, 0)
         linf_dt = max(linf_dt, float(np.einsum("sd,sd->s", dt_rows, (mm @ dt_rows.T).T).max()))
         linf_grad = max(linf_grad, float(np.einsum("sd,sd->s", u_rows, (kk @ u_rows.T).T).max()))
         modal = sol.modal(n)

@@ -19,7 +19,7 @@ from .analysis import err_linf_l2
 from .cases import ProblemConfig, run_problem
 from .errors import SolverFailure
 from .spacefe import evaluate
-from .studies import StudySpec, _config_cells, run_study, write_csv, write_study_outputs
+from .studies import StudySpec, config_cells, run_study, write_csv, write_study_outputs
 from .verify import run_verify
 
 EXIT_OK, EXIT_USAGE, EXIT_SOLVER, EXIT_VERIFY = 0, 1, 2, 3
@@ -56,15 +56,21 @@ def _cmd_run(args) -> int:
     snap_times = cfg_dict.pop("snapshot_times", None)
     try:
         cfg = ProblemConfig.from_dict(cfg_dict)
+        m = None if snap_grid is None else int(snap_grid)
+        times = None if snap_times is None else np.asarray(snap_times, dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad run configuration: {exc}") from exc
+    if m is not None and m < 2:
+        raise UsageError("snapshot_grid must be at least 2")
+    if times is not None and times.ndim != 1:
+        raise UsageError("snapshot_times must be a list of times")
 
     space, part, sol, rep = run_problem(cfg)
     have_exact = cfg.case.u is not None
     e_dt = err_linf_l2(sol, cfg.case, "dt") if have_exact else None
     e_g = err_linf_l2(sol, cfg.case, "grad") if have_exact else None
 
-    row = _config_cells(cfg)
+    row = config_cells(cfg)
     row.update({"err_dt": e_dt, "err_grad": e_g, "eoc_dt": None, "eoc_grad": None,
                 "iters_mean": round(rep.iters_mean, 3), "iters_max": rep.iters_max,
                 "runtime_s": round(rep.runtime_s, 4)})
@@ -74,14 +80,10 @@ def _cmd_run(args) -> int:
     write_csv([row], base.with_suffix(".csv"))
     written = [str(base.with_suffix(".csv"))]
 
-    if snap_grid is not None:
-        m = int(snap_grid)
-        if m < 2:
-            raise UsageError("snapshot_grid must be at least 2")
+    if m is not None:
         ax = np.linspace(0.0, 1.0, m)
         xg, yg = np.meshgrid(ax, ax, indexing="ij")
-        times = (np.asarray(snap_times, dtype=float) if snap_times is not None
-                 else part.breakpoints)
+        times = part.breakpoints if times is None else times
         u = np.empty((len(times), m, m))
         du = np.empty_like(u)
         for i, t in enumerate(times):

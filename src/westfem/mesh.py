@@ -7,7 +7,7 @@ sqrt(2)/n.  Triangles are stored with counterclockwise vertex order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,9 +18,6 @@ class Mesh:
     triangles: np.ndarray       # (n_triangles, 3) int, CCW
     boundary_vertex: np.ndarray  # (n_vertices,) bool
     n: int                      # cells per side
-
-    # edge table, built lazily by FESpace and friends
-    _edges: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -39,20 +36,12 @@ def unit_square_mesh(n: int) -> Mesh:
     xx, yy = np.meshgrid(side, side, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(ix, iy):
-        return iy * (n + 1) + ix
-
-    tris = np.empty((2 * n * n, 3), dtype=np.int64)
-    t = 0
-    for iy in range(n):
-        for ix in range(n):
-            v00 = vid(ix, iy)
-            v10 = vid(ix + 1, iy)
-            v01 = vid(ix, iy + 1)
-            v11 = vid(ix + 1, iy + 1)
-            tris[t] = (v00, v10, v11)      # below the diagonal
-            tris[t + 1] = (v00, v11, v01)  # above
-            t += 2
+    # cells row by row; each gives (v00, v10, v11) below the diagonal and
+    # (v00, v11, v01) above it
+    iy, ix = np.divmod(np.arange(n * n), n)
+    v00 = iy * (n + 1) + ix
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
 
     ix = np.arange((n + 1) ** 2) % (n + 1)
     iy = np.arange((n + 1) ** 2) // (n + 1)
@@ -75,14 +64,17 @@ def mesh_size(mesh: Mesh) -> float:
 
 
 def edge_table(mesh: Mesh):
-    """Map sorted vertex pair -> edge index, built once per mesh."""
-    cache = mesh._edges
-    if "table" not in cache:
-        table = {}
-        for tri in mesh.triangles:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(a, b), max(a, b))
-                if key not in table:
-                    table[key] = len(table)
-        cache["table"] = table
-    return cache["table"]
+    """Edges numbered by first appearance over the triangles' local edges
+    (a,b), (b,c), (c,a).
+
+    Returns (edges (n_edges, 2) sorted vertex pairs, tri_edges
+    (n_triangles, 3) edge index of each local edge).
+    """
+    local = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    key = np.sort(local, axis=1)
+    _, first, inverse = np.unique(key[:, 0] * mesh.n_vertices + key[:, 1],
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return key[first[order]], rank[inverse].reshape(-1, 3)

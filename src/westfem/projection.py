@@ -12,45 +12,29 @@ import numpy as np
 
 from .solution import DiscreteSolution
 from .spacefe import FESpace, ritz_project
-from .timefe import (_ALT_SIGNS, TimePartition, _integrate_modes,
-                     gauss_interval, shifted_legendre_table)
+from .timefe import TimePartition, ptau_project
 
 
-def combined_project(space: FESpace, partition: TimePartition, q: int, case,
-                     npts: int | None = None) -> DiscreteSolution:
+def combined_project(space: FESpace, partition: TimePartition, q: int,
+                     case) -> DiscreteSolution:
     """Project the exact solution of `case` onto the discrete trial space.
 
     Spatial Ritz projection at each temporal quadrature node, then the
-    slab-wise degree-q temporal projection (start value chained, end slope
-    matched, interior moments of the time derivative matched).  Requires
-    the case to carry closed-form gradients of u and dt(u).
+    slab-wise degree-q temporal projection P_tau (start value chained, end
+    slope matched, interior moments of the time derivative matched).
+    Requires the case to carry closed-form gradients of u and dt(u).
     """
     if case.grad_u is None or case.grad_dtu is None:
         raise ValueError("combined projection needs grad_u and grad_dtu")
     if q < 2:
         raise ValueError(f"temporal projection needs q >= 2, got {q}")
-    npts = max(2 * q, 16) if npts is None else npts
-    g, w = gauss_interval(npts)
-    tab = shifted_legendre_table(q - 2, g)[0]
+    start = ritz_project(space, lambda x, y: case.grad_u(x, y, partition.breakpoints[0]))
 
-    def ritz_at(grad, t):
-        return ritz_project(space, lambda x, y: grad(x, y, t))
+    def ritz_dtu(t):
+        """Ritz projection of dt u at a time, or stacked over an array of times."""
+        if np.ndim(t):
+            return np.stack([ritz_dtu(s) for s in t])
+        return ritz_project(space, lambda x, y: case.grad_dtu(x, y, t))
 
-    n_slabs = partition.n_slabs
-    modes = np.zeros((n_slabs, q, space.n_dof))
-    start0 = ritz_at(case.grad_u, partition.breakpoints[0])
-    start = start0
-    for n in range(n_slabs):
-        tau = partition.taus[n]
-        tq = partition.breakpoints[n] + tau * g
-        dvg = np.stack([ritz_at(case.grad_dtu, t) for t in tq])  # (npts, n_dof)
-        b = np.empty((q, space.n_dof))
-        for m in range(q - 1):
-            b[m] = (2 * m + 1) * tau * ((tab[m] * w) @ dvg)
-        b[q - 1] = tau * ritz_at(case.grad_dtu, partition.breakpoints[n + 1]) \
-            - b[: q - 1].sum(axis=0)
-        a = _integrate_modes(b)
-        a[0] = start - _ALT_SIGNS[1 : q + 1] @ a[1:]
-        modes[n] = a[1:]
-        start = a.sum(axis=0)
-    return DiscreteSolution(space, partition, q, modes, start0)
+    proj = ptau_project(q, lambda t: start, ritz_dtu, partition)
+    return DiscreteSolution(space, partition, q, proj.coeffs[:, 1:], start)

@@ -1,8 +1,9 @@
 """Slab systems of the DG-CG scheme.
 
 Trial functions on a slab are continuous in time with degree q, test
-functions discontinuous with degree q-1, so after eliminating the known
-start trace each slab is a q x q block system over the free spatial dofs.
+functions discontinuous with degree q-1 (both in `timefe.TrialBasis`), so
+after eliminating the known start trace each slab is a q x q block system
+over the free spatial dofs.
 The constant-coefficient left-hand side
 
     (dtt u, w) + (dt u(t+), w(t+)) + c^2 (grad u, grad w) + delta (grad dt u, grad w)
@@ -15,46 +16,22 @@ right-hand side through the lagged terms of the fixed-point iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .spacefe import FESpace
-from .timefe import gauss_interval, shifted_legendre_table
+from .timefe import trial_basis
 
 
-@lru_cache(maxsize=None)
-def time_blocks(q: int, npts: int | None = None):
-    """Temporal coupling integrals over the unit slab.
-
-    Returns (a0, a1, a2, d0) with a0[i,j] = <Lt_i, Lt_j>, a1[i,j] =
-    <Lt_i, Lt_j'>, a2[i,j] = <Lt_i, Lt_j''> for test rows i = 0..q-1 and
-    trial columns j = 0..q, plus d0[j] = Lt_j'(0).  Integrands are
-    polynomials of degree <= 2q-1, so the default 2q-point rule is exact.
-    """
-    npts = 2 * q if npts is None else npts
-    g, w = gauss_interval(npts)
-    tab = shifted_legendre_table(q, g, nderiv=2)
-    test = tab[0, :q]                      # (q, npts)
-    a0 = (test * w) @ tab[0].T             # (q, q+1)
-    a1 = (test * w) @ tab[1].T
-    a2 = (test * w) @ tab[2].T
-    d0 = shifted_legendre_table(q, np.array([0.0]), nderiv=1)[1, :, 0]
-    return a0, a1, a2, d0
-
-
-def coupling_blocks(q: int, tau: float, c: float, delta: float,
-                    npts: int | None = None):
+def coupling_blocks(q: int, tau: float, c: float, delta: float):
     """Dense (q,q) temporal coefficient blocks (C_M, C_K) for the LHS, in the
     start-anchored trial basis B_j = Lt_j - (-1)^j, j = 1..q."""
-    a0, a1, a2, d0 = time_blocks(q, npts)
-    signs_i = (-1.0) ** np.arange(q)
-    signs_j = (-1.0) ** np.arange(1, q + 1)
-    cm = (a2[:, 1:] + np.outer(signs_i, d0[1:])) / tau
-    a0b = a0[:, 1:].copy()
-    a0b[0, :] -= signs_j                   # <Lt_0, B_j> correction
-    ck = c * c * tau * a0b + delta * a1[:, 1:]
+    b = trial_basis(q)
+    cm = (b.a2[:, 1:] + np.outer(b.test_start, b.d0[1:])) / tau
+    a0b = b.a0[:, 1:].copy()
+    a0b[0, :] -= b.lt_start[1:]            # <Lt_0, B_j> correction
+    ck = c * c * tau * a0b + delta * b.a1[:, 1:]
     return cm, ck
 
 
@@ -69,7 +46,6 @@ class SlabSystem:
     c: float
     delta: float
     lhs: sp.csc_matrix = field(init=False, repr=False)
-    lu: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.q < 1:
@@ -78,10 +54,6 @@ class SlabSystem:
             raise ValueError(f"slab length must be positive, got {self.tau}")
         cm, ck = coupling_blocks(self.q, self.tau, self.c, self.delta)
         self.lhs = assemble_slab_lhs(self.space, cm, ck)
-
-    @property
-    def n_unknowns(self) -> int:
-        return self.q * self.space.n_free
 
 
 def assemble_slab_lhs(space: FESpace, cm: np.ndarray, ck: np.ndarray) -> sp.csc_matrix:
@@ -103,71 +75,68 @@ class SlabState:
 
 
 class SlabWorkspace:
-    """Quadrature tables shared by RHS assembly, residuals, and the guard."""
+    """Spatial quadrature data and the temporal trial basis shared by RHS
+    assembly, residuals, and the guard."""
 
-    def __init__(self, space: FESpace, q: int, data_quad: int | None = None):
+    def __init__(self, space: FESpace, q: int):
         p = space.p
         self.space = space
-        self.q = q
-        self.ed_lin = space.element_data(2 * p + 2 if data_quad is None else data_quad)
+        self.basis = trial_basis(q)
+        self.ed_lin = space.element_data(2 * p + 2)
         self.ed_nl = space.element_data(3 * p + 2)
-        g, w = gauss_interval(2 * q)
-        self.tg, self.tw = g, w
-        tab = shifted_legendre_table(q, g, nderiv=2)
-        self.v0, self.v1, self.v2 = tab[0], tab[1], tab[2]   # (q+1, 2q)
-        self.test = tab[0, :q]                               # (q, 2q)
-        self.d_at0 = shifted_legendre_table(q, np.array([0.0]), nderiv=1)[1, :, 0]
 
     def f_time_loads(self, f, t_start: float, tau: float) -> np.ndarray:
         """Spatial loads of f at the slab's temporal Gauss nodes; (2q, n_dof)."""
         ed = self.ed_lin
         x, y = ed.phys[:, :, 0], ed.phys[:, :, 1]
         vals = np.stack([np.broadcast_to(f(x, y, t_start + tau * gk), x.shape)
-                         for gk in self.tg])
+                         for gk in self.basis.nodes])
         return ed.assemble_pointwise_load_multi(vals)
 
     def time_integrate(self, loads: np.ndarray, tau: float) -> np.ndarray:
         """tau * int_0^1 Lt_i(s) load(s) ds from nodal loads; (2q, dof) -> (q, dof)."""
-        return tau * ((self.test * self.tw) @ loads)
+        return tau * (self.basis.test_w @ loads)
 
 
 def assemble_slab_rhs(ws: SlabWorkspace, state: SlabState, tau: float,
                       c: float, f_loads: np.ndarray) -> np.ndarray:
     """Fixed part of the slab right-hand side (no lagged terms); (q, n_free)."""
-    space, q = ws.space, ws.q
+    space = ws.space
     rhs = ws.time_integrate(f_loads, tau)[:, space.free_dofs]
-    signs = (-1.0) ** np.arange(q)
-    rhs += np.outer(signs, state.trace_load[space.free_dofs])
+    rhs += np.outer(ws.basis.test_start, state.trace_load[space.free_dofs])
     rhs[0] -= c * c * tau * (space.stiffness @ state.u_start)[space.free_dofs]
     return rhs
 
 
+def slab_fields(ws: SlabWorkspace, state: SlabState, tau: float, modal: np.ndarray):
+    """Iterate given in full modal form (q+1, n_dof) at the nonlinear
+    quadrature points: u, dt u and dtt u on the space-time grid (each
+    (2q, nt, nq)), then u(t_{n-1}) and dt u(t_{n-1}^+) in space (nt, nq)."""
+    b, ed = ws.basis, ws.ed_nl
+    uq = ed.function_values_multi(b.values.T @ modal)
+    dtq = ed.function_values_multi((b.ds.T @ modal) / tau)
+    dttq = ed.function_values_multi((b.dss.T @ modal) / tau ** 2)
+    uprev_q = ed.function_values(state.u_start)
+    dtu0_q = ed.function_values((b.d0 @ modal) / tau)
+    return uq, dtq, dttq, uprev_q, dtu0_q
+
+
 def lagged_rhs(ws: SlabWorkspace, state: SlabState, tau: float, k: float,
-               modal: np.ndarray, guard: float | None = None):
+               modal: np.ndarray):
     """Lagged nonlinear terms -k (dt(u dtu), w) - k (u(t-) dtu(t+), w(t+))
     for the current iterate given in full modal form (q+1, n_dof).
 
     Returns (rhs_contribution (q, n_free), coeff_min) where coeff_min is the
     minimum of 1 + k u over the slab's space-time quadrature grid.
     """
-    space = ws.space
-    ed = ws.ed_nl
-    u_nodes = ws.v0.T @ modal                      # (2q, n_dof)
-    dtu_nodes = (ws.v1.T @ modal) / tau
-    dttu_nodes = (ws.v2.T @ modal) / tau ** 2
-    uq = ed.function_values_multi(u_nodes)         # (2q, nt, nq)
+    ed, free = ws.ed_nl, ws.space.free_dofs
+    uq, dtq, dttq, uprev_q, dtu0_q = slab_fields(ws, state, tau, modal)
     coeff_min = float((1.0 + k * uq).min())
-    dtq = ed.function_values_multi(dtu_nodes)
-    dttq = ed.function_values_multi(dttu_nodes)
     # dt(u dtu) = (dtu)^2 + u dttu, exact for the polynomial integrand
     loads = ed.assemble_pointwise_load_multi(dtq * dtq + uq * dttq)
-    out = -k * ws.time_integrate(loads, tau)[:, space.free_dofs]
-
-    dtu0 = (ws.d_at0 @ modal) / tau                # dtu(t_{n-1}^+)
-    uprev_q = ed.function_values(state.u_start)
-    dtu0_q = ed.function_values(dtu0)
-    tload = ed.assemble_pointwise_load(uprev_q * dtu0_q)[space.free_dofs]
-    out -= k * np.outer((-1.0) ** np.arange(ws.q), tload)
+    out = -k * ws.time_integrate(loads, tau)[:, free]
+    tload = ed.assemble_pointwise_load(uprev_q * dtu0_q)[free]
+    out -= k * np.outer(ws.basis.test_start, tload)
     return out, coeff_min
 
 
@@ -178,33 +147,20 @@ def nonlinear_residual(ws: SlabWorkspace, state: SlabState, tau: float,
     in modal form; assembled through the expanded identity
     dt((1+k u) dtu) = (1+k u) dttu + k (dtu)^2 rather than the lagged split.
     Returns (q, n_free)."""
-    space, q = ws.space, ws.q
-    ed = ws.ed_nl
-    free = space.free_dofs
-
-    u_nodes = ws.v0.T @ modal
-    dtu_nodes = (ws.v1.T @ modal) / tau
-    dttu_nodes = (ws.v2.T @ modal) / tau ** 2
-    uq = ed.function_values_multi(u_nodes)
-    dtq = ed.function_values_multi(dtu_nodes)
-    dttq = ed.function_values_multi(dttu_nodes)
+    b, ed, free = ws.basis, ws.ed_nl, ws.space.free_dofs
+    uq, dtq, dttq, uprev_q, dtu0_q = slab_fields(ws, state, tau, modal)
     loads = ed.assemble_pointwise_load_multi((1.0 + k * uq) * dttq + k * dtq * dtq)
     res = ws.time_integrate(loads, tau)[:, free]
 
     # trace coupling: ((1+k u(t_{n-1})) dtu(t_{n-1}^+), w(t_{n-1}^+))
-    dtu0 = (ws.d_at0 @ modal) / tau
-    uprev_q = ed.function_values(state.u_start)
-    dtu0_q = ed.function_values(dtu0)
     tlhs = ed.assemble_pointwise_load((1.0 + k * uprev_q) * dtu0_q)[free]
-    signs = (-1.0) ** np.arange(q)
-    res += np.outer(signs, tlhs)
+    res += np.outer(b.test_start, tlhs)
 
     # stiffness terms with exact temporal integration
-    a0, a1, _, _ = time_blocks(q)
-    ku = (space.stiffness @ modal.T)[free].T       # (q+1, n_free)
-    res += c * c * tau * (a0 @ ku) + delta * (a1 @ ku)
+    ku = (ws.space.stiffness @ modal.T)[free].T    # (q+1, n_free)
+    res += c * c * tau * (b.a0 @ ku) + delta * (b.a1 @ ku)
 
     # data side
     res -= ws.time_integrate(f_loads, tau)[:, free]
-    res -= np.outer(signs, state.trace_load[free])
+    res -= np.outer(b.test_start, state.trace_load[free])
     return res

@@ -1,16 +1,17 @@
 """Space-time solution table for the DG-CG scheme.
 
-Per slab the trial function is u(s) = u_start + sum_j U_j B_j(s) with
-B_j(s) = Lt_j(s) - (-1)^j (so B_j(0) = 0), j = 1..q.  Slab start values are
-shared arrays: the end trace of slab n *is* the start value of slab n+1, so
-global continuity holds exactly by representation, not by round-off luck.
+Per slab the trial function is u(s) = u_start + sum_j U_j B_j(s) in the
+start-anchored basis of `timefe.TrialBasis` (B_j(0) = 0, j = 1..q).  Slab
+start values are shared arrays: the end trace of slab n *is* the start value
+of slab n+1, so global continuity holds exactly by representation, not by
+round-off luck.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .timefe import TimePartition, shifted_legendre_table
+from .timefe import TimePartition, trial_basis
 
 
 class DiscreteSolution:
@@ -18,8 +19,7 @@ class DiscreteSolution:
 
     def __init__(self, space, partition: TimePartition, q: int,
                  modes: np.ndarray, start_value: np.ndarray):
-        if q < 1:
-            raise ValueError(f"temporal degree must be >= 1, got {q}")
+        self.basis = trial_basis(q)
         self.space = space
         self.partition = partition
         self.q = q
@@ -27,57 +27,37 @@ class DiscreteSolution:
         self.modes = np.asarray(modes)            # (N, q, n_dof)
         if self.modes.shape != (nsl, q, space.n_dof):
             raise ValueError("modes shape mismatch")
-        bj1 = _b_end(q)                           # B_j(1) = 1 - (-1)^j
         bp = np.empty((nsl + 1, space.n_dof))
         bp[0] = start_value
         for n in range(nsl):
-            bp[n + 1] = bp[n] + bj1 @ self.modes[n]
+            bp[n + 1] = self.basis.end_value(bp[n], self.modes[n])
         self.bp_values = bp
 
     # -- slab-local access --------------------------------------------
 
     def modal(self, n: int) -> np.ndarray:
         """Full shifted-Legendre coefficients (q+1, n_dof) on slab n."""
-        signs = (-1.0) ** np.arange(1, self.q + 1)
-        u0 = self.bp_values[n] - signs @ self.modes[n]
-        return np.concatenate([u0[None, :], self.modes[n]], axis=0)
+        return self.basis.to_modal(self.bp_values[n], self.modes[n])
+
+    def rows(self, n: int, s, deriv: int = 0) -> np.ndarray:
+        """u (deriv 0) or dt u (deriv 1) on slab n at local points s."""
+        return self.basis.rows(self.bp_values[n], self.modes[n], s,
+                               self.partition.taus[n], deriv)
 
     def value_slab(self, n: int, s: float) -> np.ndarray:
         if s == 0.0:
             return self.bp_values[n]
         if s == 1.0:
             return self.bp_values[n + 1]
-        tab = shifted_legendre_table(self.q, np.array([s]))[0, :, 0]
-        b = tab[1:] - (-1.0) ** np.arange(1, self.q + 1)
-        return self.bp_values[n] + b @ self.modes[n]
+        return self.rows(n, s)
 
     def dt_slab(self, n: int, s: float) -> np.ndarray:
-        tab = shifted_legendre_table(self.q, np.array([s]), nderiv=1)[1, 1:, 0]
-        return (tab @ self.modes[n]) / self.partition.taus[n]
-
-    def dtt_slab(self, n: int, s: float) -> np.ndarray:
-        tab = shifted_legendre_table(self.q, np.array([s]), nderiv=2)[2, 1:, 0]
-        return (tab @ self.modes[n]) / self.partition.taus[n] ** 2
+        return self.rows(n, s, deriv=1)
 
     # -- global access ------------------------------------------------
 
-    def _locate(self, t: float, side: str):
-        bp = self.partition.breakpoints
-        if side == "left" and t > bp[0]:
-            n = int(np.searchsorted(bp, t, side="left")) - 1
-            n = min(max(n, 0), self.partition.n_slabs - 1)
-            s = (t - bp[n]) / self.partition.taus[n]
-            return n, min(max(s, 0.0), 1.0)
-        return self.partition.locate(t)
-
     def value(self, t: float, side: str = "right") -> np.ndarray:
-        n, s = self._locate(t, side)
-        return self.value_slab(n, s)
+        return self.value_slab(*self.partition.locate(t, side))
 
     def dt(self, t: float, side: str = "right") -> np.ndarray:
-        n, s = self._locate(t, side)
-        return self.dt_slab(n, s)
-
-
-def _b_end(q: int) -> np.ndarray:
-    return 1.0 - (-1.0) ** np.arange(1, q + 1)
+        return self.dt_slab(*self.partition.locate(t, side))

@@ -1,7 +1,7 @@
 """Slab marching and the linearized fixed-point solver.
 
 Each slab is solved by freezing the nonlinearity at the previous iterate:
-the constant-coefficient system is factorized once (and reused across
+the constant-coefficient system is LU-factored once (and reused across
 iterations and across slabs of equal length) while the lagged terms
 -k (dt(u^s dtu^s), w) - k (u(t-) dtu^s(t+), w(t+)) update the right-hand
 side.  The initial guess is the k = 0 solve, so a linear problem converges
@@ -21,7 +21,7 @@ from .slab import (SlabState, SlabSystem, SlabWorkspace, assemble_slab_rhs,
                    lagged_rhs, nonlinear_residual)
 from .solution import DiscreteSolution
 from .spacefe import FESpace, ritz_project, ritz_project_fd
-from .timefe import TimePartition, shifted_legendre_table
+from .timefe import TimePartition
 
 S_MAX_DEFAULT = 15
 TOL_DEFAULT = 1e-12
@@ -29,22 +29,14 @@ GUARD_DEFAULT = 0.1
 
 
 class Factorization:
-    """Sparse LU of a slab operator with a solve counter."""
+    """A slab operator together with its sparse LU, built once per slab length."""
 
-    def __init__(self, lhs):
-        self._lu = splu(lhs)
-        self.n_solves = 0
+    def __init__(self, system: SlabSystem):
+        self.system = system
+        self._lu = splu(system.lhs)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        self.n_solves += 1
         return self._lu.solve(rhs)
-
-
-def factorize(system: SlabSystem) -> SlabSystem:
-    """Attach (once) a sparse LU factorization to the slab system."""
-    if system.lu is None:
-        system.lu = Factorization(system.lhs)
-    return system
 
 
 @dataclass
@@ -85,7 +77,7 @@ def _qn_norm(space, tau, modal):
     return float(np.sqrt(np.sum(weights * np.einsum("jd,jd->j", modal, mv))))
 
 
-def solve_slab_fixed_point(system: SlabSystem, ws: SlabWorkspace, state: SlabState,
+def solve_slab_fixed_point(fact: Factorization, ws: SlabWorkspace, state: SlabState,
                            f_loads: np.ndarray, k: float,
                            s_max: int = S_MAX_DEFAULT, tol: float = TOL_DEFAULT,
                            guard: float = GUARD_DEFAULT,
@@ -96,8 +88,8 @@ def solve_slab_fixed_point(system: SlabSystem, ws: SlabWorkspace, state: SlabSta
     slab's space-time quadrature grid, SolverFailure if the increment is
     still above `tol` (relative L2(Q_n)) after `s_max` iterations.
     """
-    factorize(system)
-    space, q, tau = ws.space, ws.q, system.tau
+    system = fact.system
+    space, q, tau = ws.space, ws.basis.q, system.tau
     free = space.free_dofs
 
     rhs_const = assemble_slab_rhs(ws, state, tau, system.c, f_loads)
@@ -107,13 +99,8 @@ def solve_slab_fixed_point(system: SlabSystem, ws: SlabWorkspace, state: SlabSta
         modes[:, free] = x.reshape(q, space.n_free)
         return modes
 
-    def full_modal(modes):
-        signs = (-1.0) ** np.arange(1, q + 1)
-        u0 = state.u_start - signs @ modes
-        return np.concatenate([u0[None, :], modes], axis=0)
-
-    modes = embed(system.lu.solve(rhs_const.ravel()))
-    modal = full_modal(modes)
+    modes = embed(fact.solve(rhs_const.ravel()))
+    modal = ws.basis.to_modal(state.u_start, modes)
     info = SlabSolveInfo(slab=state.n, iterations=0, increment=np.inf, coeff_min=np.inf)
 
     for it in range(1, s_max + 1):
@@ -123,8 +110,8 @@ def solve_slab_fixed_point(system: SlabSystem, ws: SlabWorkspace, state: SlabSta
             raise DegenerateCoefficient(
                 f"coefficient 1 + k u reached {coeff_min:.3g} <= {guard} on slab {state.n}",
                 slab=state.n, coeff_min=coeff_min)
-        new_modes = embed(system.lu.solve((rhs_const + lag).ravel()))
-        new_modal = full_modal(new_modes)
+        new_modes = embed(fact.solve((rhs_const + lag).ravel()))
+        new_modal = ws.basis.to_modal(state.u_start, new_modes)
         num = _qn_norm(space, tau, new_modal - modal)
         den = _qn_norm(space, tau, new_modal)
         modes, modal = new_modes, new_modal
@@ -151,7 +138,6 @@ def solve_westervelt(space: FESpace, partition: TimePartition, q: int, *,
                      u0=None, u0_grad=None, u1=None,
                      s_max: int = S_MAX_DEFAULT, tol: float = TOL_DEFAULT,
                      guard: float = GUARD_DEFAULT,
-                     data_quad: int | None = None,
                      check_residual: bool = False) -> tuple[DiscreteSolution, SolverReport]:
     """March the DG-CG scheme over all slabs.
 
@@ -162,7 +148,7 @@ def solve_westervelt(space: FESpace, partition: TimePartition, q: int, *,
     if q < 2:
         raise ValueError(f"the scheme needs temporal degree q >= 2, got {q}")
     t_start = time.perf_counter()
-    ws = SlabWorkspace(space, q, data_quad=data_quad)
+    ws = SlabWorkspace(space, q)
 
     if u0_grad is not None:
         ustart = ritz_project(space, u0_grad)
@@ -182,33 +168,30 @@ def solve_westervelt(space: FESpace, partition: TimePartition, q: int, *,
         trace_load = np.zeros(space.n_dof)
 
     report = SolverReport()
-    systems: dict[float, SlabSystem] = {}
+    factors: dict[float, Factorization] = {}
     all_modes = np.empty((partition.n_slabs, q, space.n_dof))
     sol_bp = ustart
     state = SlabState(n=1, u_start=ustart, trace_load=trace_load)
 
     for n in range(1, partition.n_slabs + 1):
         tau = float(partition.taus[n - 1])
-        if tau in systems:
+        if tau in factors:
             report.factorization_reuses += 1
         else:
-            systems[tau] = factorize(SlabSystem(space, q, tau, c, delta))
+            factors[tau] = Factorization(SlabSystem(space, q, tau, c, delta))
             report.n_factorizations += 1
-        system = systems[tau]
 
         f_loads = ws.f_time_loads(f, float(partition.breakpoints[n - 1]), tau)
         modes, info = solve_slab_fixed_point(
-            system, ws, state, f_loads, k, s_max=s_max, tol=tol, guard=guard,
+            factors[tau], ws, state, f_loads, k, s_max=s_max, tol=tol, guard=guard,
             check_residual=check_residual)
         report.slabs.append(info)
         all_modes[n - 1] = modes
 
         # hand the traces to the next slab
-        bj1 = 1.0 - (-1.0) ** np.arange(1, q + 1)
-        sol_bp = sol_bp + bj1 @ modes
         if n < partition.n_slabs:
-            dt_end = shifted_legendre_table(q, np.array([1.0]), nderiv=1)[1, 1:, 0]
-            v_minus = (dt_end @ modes) / tau
+            v_minus = ws.basis.rows(sol_bp, modes, 1.0, tau, deriv=1)
+            sol_bp = ws.basis.end_value(sol_bp, modes)
             uq = ws.ed_nl.function_values(sol_bp)
             vq = ws.ed_nl.function_values(v_minus)
             tl = ws.ed_nl.assemble_pointwise_load((1.0 + k * uq) * vq)

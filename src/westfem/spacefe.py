@@ -31,27 +31,22 @@ class FESpace:
     def _build_dofmap(self):
         mesh, p, ref = self.mesh, self.p, self.ref
         nv = mesh.n_vertices
-        edges = edge_table(mesh)
+        edges, tri_edges = edge_table(mesh)
         ne = len(edges)
         n_int = ref.n_interior
         self.n_dof = nv + ne * (p - 1) + mesh.n_triangles * n_int
 
-        nl = ref.n_nodes
-        cell_dofs = np.empty((mesh.n_triangles, nl), dtype=np.int64)
+        # vertex dofs, then the p-1 dofs of each local edge (u, v) counted
+        # from its lower-numbered vertex, then the interior dofs
         edge_base = nv
         int_base = nv + ne * (p - 1)
-        for t, (a, b, c) in enumerate(mesh.triangles):
-            cell_dofs[t, 0:3] = (a, b, c)
-            loc = 3
-            for (u, v) in ((a, b), (b, c), (c, a)):
-                e = edges[(min(u, v), max(u, v))]
-                slots = np.arange(p - 1)
-                if u > v:
-                    slots = slots[::-1]
-                cell_dofs[t, loc:loc + p - 1] = edge_base + e * (p - 1) + slots
-                loc += p - 1
-            cell_dofs[t, loc:] = int_base + t * n_int + np.arange(n_int)
-        self.cell_dofs = cell_dofs
+        tri = mesh.triangles
+        slots = np.where((tri > tri[:, [1, 2, 0]])[:, :, None],
+                         np.arange(p - 1)[::-1], np.arange(p - 1))
+        edge_dofs = edge_base + tri_edges[:, :, None] * (p - 1) + slots
+        interior = int_base + np.arange(len(tri) * n_int).reshape(len(tri), n_int)
+        self.cell_dofs = cell_dofs = np.concatenate(
+            [tri, edge_dofs.reshape(len(tri), -1), interior], axis=1)
 
         # physical node coordinates (shared dofs written consistently)
         coords = np.empty((self.n_dof, 2))
@@ -74,11 +69,11 @@ class FESpace:
         is_dirichlet[:nv] = mesh.boundary_vertex
         ix = np.arange(nv) % (n + 1)
         iy = np.arange(nv) // (n + 1)
-        for (u, v), e in edges.items():
-            on_side = ((ix[u] == ix[v] and ix[u] in (0, n))
-                       or (iy[u] == iy[v] and iy[u] in (0, n)))
-            if on_side:
-                is_dirichlet[edge_base + e * (p - 1):edge_base + (e + 1) * (p - 1)] = True
+        u, v = edges[:, 0], edges[:, 1]
+        on_side = (((ix[u] == ix[v]) & ((ix[u] == 0) | (ix[u] == n)))
+                   | ((iy[u] == iy[v]) & ((iy[u] == 0) | (iy[u] == n))))
+        side_dofs = edge_base + np.flatnonzero(on_side)[:, None] * (p - 1) + np.arange(p - 1)
+        is_dirichlet[side_dofs.ravel()] = True
         self.is_free = ~is_dirichlet
         self.free_dofs = np.flatnonzero(self.is_free)
         self.n_free = self.free_dofs.size
@@ -211,31 +206,21 @@ def _scatter(space: FESpace, local: np.ndarray) -> sp.csr_matrix:
     return mat.tocsr()
 
 
-def assemble_mass(space: FESpace, quad_degree: int | None = None) -> sp.csr_matrix:
+def assemble_mass(space: FESpace) -> sp.csr_matrix:
     """Global mass matrix (phi_j, phi_i)."""
-    deg = 2 * space.p + 2 if quad_degree is None else quad_degree
-    ed = space.element_data(deg)
+    ed = space.element_data(2 * space.p + 2)
     m_ref = np.einsum("q,qi,qj->ij", ed.w, ed.vals, ed.vals)
     local = ed.detj[:, None, None] * m_ref[None, :, :]
     return _scatter(space, local)
 
 
-def assemble_stiffness(space: FESpace, quad_degree: int | None = None) -> sp.csr_matrix:
+def assemble_stiffness(space: FESpace) -> sp.csr_matrix:
     """Global stiffness matrix (grad phi_j, grad phi_i)."""
-    deg = 2 * space.p + 2 if quad_degree is None else quad_degree
-    ed = space.element_data(deg)
+    ed = space.element_data(2 * space.p + 2)
     # C_e = detJ * J^{-1} J^{-T}
     c = np.einsum("tde,tfe->tdf", ed.jinv, ed.jinv) * ed.detj[:, None, None]
     local = np.einsum("q,qid,tdf,qjf->tij", ed.w, ed.grads_ref, c, ed.grads_ref)
     return _scatter(space, local)
-
-
-def assemble_load(space: FESpace, f, quad_degree: int | None = None) -> np.ndarray:
-    """(f, phi_i) for a callable f(x, y)."""
-    deg = 2 * space.p + 2 if quad_degree is None else quad_degree
-    ed = space.element_data(deg)
-    fvals = f(ed.phys[:, :, 0], ed.phys[:, :, 1])
-    return ed.assemble_pointwise_load(np.broadcast_to(fvals, ed.phys.shape[:2]))
 
 
 def interpolate(space: FESpace, g) -> np.ndarray:
@@ -243,14 +228,13 @@ def interpolate(space: FESpace, g) -> np.ndarray:
     return np.asarray(g(space.dof_coords[:, 0], space.dof_coords[:, 1]), dtype=float)
 
 
-def ritz_project(space: FESpace, grad_g, quad_degree: int | None = None) -> np.ndarray:
+def ritz_project(space: FESpace, grad_g) -> np.ndarray:
     """Ritz projection R_h g of a function with g|_{boundary} = 0.
 
     Defined by (grad(R_h g - g), grad v_h) = 0 for all v_h; needs only the
     gradient of g, passed as grad_g(x, y) -> (gx, gy).
     """
-    deg = 2 * space.p + 2 if quad_degree is None else quad_degree
-    ed = space.element_data(deg)
+    ed = space.element_data(2 * space.p + 2)
     gx, gy = grad_g(ed.phys[:, :, 0], ed.phys[:, :, 1])
     field = np.stack([np.broadcast_to(gx, ed.phys.shape[:2]),
                       np.broadcast_to(gy, ed.phys.shape[:2])], axis=2)
@@ -260,9 +244,11 @@ def ritz_project(space: FESpace, grad_g, quad_degree: int | None = None) -> np.n
     return out
 
 
-def ritz_project_fd(space: FESpace, g, step: float = 1e-6) -> np.ndarray:
+def ritz_project_fd(space: FESpace, g) -> np.ndarray:
     """Ritz projection with a central-difference gradient of g (diagnostic path
     for data supplied without a closed-form gradient)."""
+    step = 1e-6
+
     def grad(x, y):
         return ((g(x + step, y) - g(x - step, y)) / (2 * step),
                 (g(x, y + step) - g(x, y - step)) / (2 * step))

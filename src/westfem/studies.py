@@ -159,7 +159,7 @@ def run_study(spec: StudySpec, threads: int = 1, strict: bool = False) -> StudyR
     for i, cfg in enumerate(configs):
         res, err = results[i]
         if err is not None:
-            failures.append({"index": i, "config": _config_cells(cfg), "error": err})
+            failures.append({"index": i, "config": config_cells(cfg), "error": err})
             continue
         space, sol, rep = res
         ref = baseline if spec.kind == "delta" else cfg.case
@@ -168,7 +168,7 @@ def run_study(spec: StudySpec, threads: int = 1, strict: bool = False) -> StudyR
         else:
             e_dt = err_linf_l2(sol, ref, "dt")
             e_g = err_linf_l2(sol, ref, "grad")
-        cells = _config_cells(cfg)
+        cells = config_cells(cfg)
         cells.update({"err_dt": e_dt, "err_grad": e_g,
                       "iters_mean": round(rep.iters_mean, 3),
                       "iters_max": rep.iters_max,
@@ -185,7 +185,8 @@ def run_study(spec: StudySpec, threads: int = 1, strict: bool = False) -> StudyR
     return StudyResult(spec, rows, failures, n_dofs, summary)
 
 
-def _config_cells(cfg: ProblemConfig) -> dict:
+def config_cells(cfg: ProblemConfig) -> dict:
+    """CSV cells that describe one run configuration."""
     return {"case": cfg.case.name, "n": cfg.n, "h": math.sqrt(2.0) / cfg.n,
             "tau": cfg.tau, "p": cfg.p, "q": cfg.q,
             "delta": cfg.case.delta, "k": cfg.case.k, "c": cfg.case.c}

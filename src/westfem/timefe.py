@@ -1,6 +1,7 @@
 """Temporal discretization: slab partitions, shifted Legendre bases, the
-per-slab L2 projection, the derivative-matching projection P_tau, and the
-linear slab weight phi_n used by the stability analysis.
+start-anchored trial basis of the DG-CG scheme, the per-slab L2
+projection, the derivative-matching projection P_tau, and the linear slab
+weight phi_n used by the stability analysis.
 
 All slab-local polynomials are expanded in shifted Legendre modes
 Lt_j(s) = P_j(2s-1) on the unit slab coordinate s in [0,1], so L2
@@ -10,6 +11,7 @@ projection is coefficient truncation and modal coefficients decouple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,9 +57,11 @@ class TimePartition:
     def tau_max(self) -> float:
         return float(self.taus.max())
 
-    def locate(self, t: float) -> tuple[int, float]:
-        """Slab index and local coordinate s in [0,1] containing t."""
-        n = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
+    def locate(self, t: float, side: str = "right") -> tuple[int, float]:
+        """Slab index and local coordinate s in [0,1] containing t, clamped to
+        [0, T]; at an interior breakpoint side="left" picks the slab ending
+        there and side="right" the one starting there."""
+        n = int(np.searchsorted(self.breakpoints, t, side=side)) - 1
         n = min(max(n, 0), self.n_slabs - 1)
         s = (t - self.breakpoints[n]) / self.taus[n]
         return n, float(min(max(s, 0.0), 1.0))
@@ -92,18 +96,72 @@ def shifted_legendre_table(q: int, s: np.ndarray, nderiv: int = 0) -> np.ndarray
     return out
 
 
-def legendre_shifted(q: int, s):
-    """Value and first s-derivative of Lt_q at s."""
-    t = shifted_legendre_table(q, s, nderiv=1)
-    return t[0, q], t[1, q]
-
-
 def gauss_interval(npts: int):
     """npts-point Gauss-Legendre rule on [0,1]."""
     if npts < 1:
         raise ValueError(f"need npts >= 1, got {npts}")
     x, w = np.polynomial.legendre.leggauss(npts)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+# -- the start-anchored trial basis ----------------------------------
+
+
+class TrialBasis:
+    """Degree-q trial basis of the DG-CG scheme on the unit slab.
+
+    A slab trial function is u(s) = u_start + sum_{j=1..q} U_j B_j(s) with
+    B_j = Lt_j - Lt_j(0) = Lt_j - (-1)^j, so B_j(0) = 0: the start value is
+    carried separately and continuity across slabs holds by representation.
+    Test functions are Lt_0..Lt_{q-1}.  The tables use the 2q-point Gauss
+    rule, exact for every test function times a trial function or one of its
+    derivatives.  Get instances through `trial_basis(q)`, which caches them.
+    """
+
+    def __init__(self, q: int):
+        if q < 1:
+            raise ValueError(f"temporal degree must be >= 1, got {q}")
+        self.q = q
+        self.nodes, self.weights = gauss_interval(2 * q)
+        tab = shifted_legendre_table(q, self.nodes, nderiv=2)
+        self.values, self.ds, self.dss = tab          # Lt_j and its s-derivatives, (q+1, 2q)
+        self.test_w = tab[0, :q] * self.weights       # test rows times weights, (q, 2q)
+        self.lt_start = (-1.0) ** np.arange(q + 1)    # Lt_j(0)
+        self.test_start = self.lt_start[:q]           # test functions at s = 0
+        self.b_end = 1.0 - self.lt_start[1:]          # B_j(1)
+        # Gram blocks <Lt_i, Lt_j>, <Lt_i, Lt_j'>, <Lt_i, Lt_j''> for test rows
+        # i < q and trial columns j <= q, and d0[j] = Lt_j'(0)
+        self.a0 = self.test_w @ tab[0].T
+        self.a1 = self.test_w @ tab[1].T
+        self.a2 = self.test_w @ tab[2].T
+        self.d0 = shifted_legendre_table(q, np.array([0.0]), nderiv=1)[1, :, 0]
+
+    def to_modal(self, u_start, modes) -> np.ndarray:
+        """Full shifted-Legendre coefficients (q+1, ...) of the slab function
+        with start value u_start and trial coefficients modes (q, ...)."""
+        u0 = u_start - self.lt_start[1:] @ modes
+        return np.concatenate([[u0], modes], axis=0)
+
+    def end_value(self, u_start, modes):
+        """Value at the slab end, u_start + sum_j B_j(1) U_j."""
+        return u_start + self.b_end @ modes
+
+    def rows(self, u_start, modes, s, tau: float, deriv: int = 0) -> np.ndarray:
+        """u (deriv 0) or dt u (deriv 1) at slab-local points s, one row per
+        point (a single row for scalar s), on a slab of length tau."""
+        tab = shifted_legendre_table(self.q, s, nderiv=deriv)[deriv, 1:]   # (q, m)
+        if deriv == 0:
+            tab = tab - self.lt_start[1:, None]                          # B_j(s)
+        if np.ndim(s) == 0:
+            tab = tab[:, 0]
+        out = tab.T @ modes
+        return u_start + out if deriv == 0 else out / tau
+
+
+@lru_cache(maxsize=None)
+def trial_basis(q: int) -> TrialBasis:
+    """The shared TrialBasis of degree q."""
+    return TrialBasis(q)
 
 
 # -- slab-local polynomials ------------------------------------------
@@ -114,20 +172,14 @@ class TimePoly:
     """Piecewise polynomial on a partition, shifted-Legendre modal per slab."""
 
     partition: TimePartition
-    coeffs: np.ndarray  # (N, degree+1)
+    coeffs: np.ndarray  # (N, degree+1); vector-valued P_tau adds a dof axis
 
     @property
     def degree(self) -> int:
         return self.coeffs.shape[1] - 1
 
     def _eval(self, t: float, deriv: int, side: str) -> float:
-        bp = self.partition.breakpoints
-        if side == "left" and t > bp[0]:
-            n = int(np.searchsorted(bp, t, side="left")) - 1
-            n = min(max(n, 0), self.partition.n_slabs - 1)
-            s = (t - bp[n]) / self.partition.taus[n]
-        else:
-            n, s = self.partition.locate(t)
+        n, s = self.partition.locate(t, side)
         tab = shifted_legendre_table(self.degree, np.array([s]), nderiv=deriv)
         val = float(self.coeffs[n] @ tab[deriv, :, 0])
         return val / self.partition.taus[n] ** deriv
@@ -157,35 +209,32 @@ def l2_project_time(r: int, v, partition: TimePartition, npts: int | None = None
     return TimePoly(partition, coeffs)
 
 
-def ptau_project(q: int, v, dv, partition: TimePartition,
-                 npts: int | None = None) -> TimePoly:
+def ptau_project(q: int, v, dv, partition: TimePartition) -> TimePoly:
     """Degree-q projection P_tau matching v(0), slab-end derivatives, and the
     interior moments of v' against degrees <= q-2; continuous by chaining the
-    slab start value.  `v`/`dv` evaluate the function and its derivative.
+    slab start value.  `v`/`dv` evaluate the function and its derivative at
+    a time or, with a leading axis, at an array of times; their values may
+    carry a trailing dof axis, which the coefficients (N, q+1, ...) keep.
     """
     if q < 2:
         raise ValueError(f"P_tau needs degree q >= 2, got {q}")
-    npts = max(2 * q, 16) if npts is None else npts
-    g, w = gauss_interval(npts)
-    tab = shifted_legendre_table(q - 2, g)[0] if q >= 2 else None
-    coeffs = np.empty((partition.n_slabs, q + 1))
-    start = float(v(partition.breakpoints[0]))
+    basis = trial_basis(q)
+    g, w = gauss_interval(max(2 * q, 16))
+    tab = shifted_legendre_table(q - 2, g)[0]
+    start = np.asarray(v(partition.breakpoints[0]), dtype=float)
+    coeffs = np.empty((partition.n_slabs, q + 1) + start.shape)
     for n in range(partition.n_slabs):
         tau = partition.taus[n]
         t = partition.breakpoints[n] + tau * g
         dvg = np.asarray(dv(t), dtype=float)
-        b = np.empty(q)
+        b = np.empty((q,) + start.shape)
         for m in range(q - 1):
             b[m] = (2 * m + 1) * tau * ((tab[m] * w) @ dvg)
-        b[q - 1] = tau * float(dv(partition.breakpoints[n + 1])) - b[: q - 1].sum()
-        a = _integrate_modes(b)
-        a[0] = start - (a[1:] @ _ALT_SIGNS[1:a.size])
+        b[q - 1] = tau * dv(partition.breakpoints[n + 1]) - b[: q - 1].sum(axis=0)
+        a = basis.to_modal(start, _integrate_modes(b)[1:])
         coeffs[n] = a
-        start = float(a.sum())  # value at slab end; Lt_j(1) = 1
+        start = a.sum(axis=0)  # value at slab end; Lt_j(1) = 1
     return TimePoly(partition, coeffs)
-
-
-_ALT_SIGNS = (-1.0) ** np.arange(64)
 
 
 def _integrate_modes(b: np.ndarray) -> np.ndarray:

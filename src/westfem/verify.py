@@ -621,8 +621,7 @@ def suite_determinism(ck: Checker):
              np.array_equal(s1.modes, s2.modes), "bitwise equal modes")
     ck.check("repeat-identical-iterations", r1.iterations == r2.iterations,
              f"{r1.iterations}")
-    bj1 = 1.0 - (-1.0) ** np.arange(1, s1.q + 1)
-    worst = max(float(np.abs(s1.bp_values[n] + bj1 @ s1.modes[n]
+    worst = max(float(np.abs(s1.basis.end_value(s1.bp_values[n], s1.modes[n])
                              - s1.bp_values[n + 1]).max())
                 for n in range(s1.partition.n_slabs))
     ck.check("continuity-by-representation", worst == 0.0, f"max gap {worst:.1e}")

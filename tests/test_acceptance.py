@@ -11,7 +11,6 @@ from westfem.analysis import err_linf_l2
 from westfem.cases import ProblemConfig, get_case, run_problem
 from westfem.errors import DegenerateCoefficient
 from westfem.studies import StudySpec, run_study
-from westfem.verify import run_verify
 
 
 def _emit(cid, ok, detail):
@@ -122,10 +121,9 @@ def test_criterion_5_large_timestep_robustness():
     assert ok, detail
 
 
-def test_criterion_6_property_suites():
-    report = run_verify()
-    failed = [s.name for s in report.suites if not s.passed]
-    ok = report.passed and len(report.suites) >= 12
-    detail = f"{len(report.suites)} suites, failing: {failed or 'none'}"
+def test_criterion_6_property_suites(verify_report):
+    failed = [s.name for s in verify_report.suites if not s.passed]
+    ok = verify_report.passed and len(verify_report.suites) >= 12
+    detail = f"{len(verify_report.suites)} suites, failing: {failed or 'none'}"
     _emit("criterion-6 property-suites", ok, detail)
     assert ok, detail

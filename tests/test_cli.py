@@ -77,6 +77,21 @@ def test_bad_config_exits_1(tmp_path):
     assert cli.main(["run", cfg]) == 1
 
 
+@pytest.mark.parametrize("snapshot", [{"snapshot_grid": 1},
+                                      {"snapshot_grid": "fine"},
+                                      {"snapshot_times": ["start", 0.5]}],
+                         ids=["grid-below-2", "grid-not-a-number", "times-not-numbers"])
+def test_bad_snapshot_options_exit_1_before_solving(tmp_path, monkeypatch, capsys, snapshot):
+    def no_solve(cfg):
+        raise AssertionError("solved before validating the snapshot options")
+
+    monkeypatch.setattr(cli, "run_problem", no_solve)
+    cfg = write_json(tmp_path / "r.json",
+                     {"case": "smooth", "n": 3, "p": 1, "q": 2, "tau": 0.5, **snapshot})
+    assert cli.main(["run", cfg, "--out", str(tmp_path)]) == 1
+    assert "error: " in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_1(capsys):
     assert cli.main(["frobnicate"]) == 1
     capsys.readouterr()

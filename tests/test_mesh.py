@@ -9,6 +9,13 @@ def test_counts(n):
     mesh = unit_square_mesh(n)
     assert mesh.n_vertices == (n + 1) ** 2
     assert mesh.n_triangles == 2 * n ** 2
+    # cells row by row, lower triangle first
+    tris = []
+    for iy in range(n):
+        for ix in range(n):
+            v00 = iy * (n + 1) + ix
+            tris += [[v00, v00 + 1, v00 + n + 2], [v00, v00 + n + 2, v00 + n + 1]]
+    assert mesh.triangles.tolist() == tris
 
 
 @pytest.mark.parametrize("n", [2, 4, 7])
@@ -46,10 +53,19 @@ def test_refine_quadruples_triangles():
 @pytest.mark.parametrize("n", [2, 4])
 def test_edge_table(n):
     mesh = unit_square_mesh(n)
-    edges = edge_table(mesh)
+    edges, tri_edges = edge_table(mesh)
     # structured criss-cross grid: 2n(n+1) axis-parallel edges + n^2 diagonals
     assert len(edges) == 3 * n ** 2 + 2 * n
-    assert sorted(edges.values()) == list(range(len(edges)))
+    assert np.array_equal(np.unique(tri_edges), np.arange(len(edges)))
+    # numbering by first appearance, as a dict filled triangle by triangle
+    table = {}
+    for a, b, c in mesh.triangles.tolist():
+        for u, v in ((a, b), (b, c), (c, a)):
+            table.setdefault((min(u, v), max(u, v)), len(table))
+    assert edges.tolist() == [list(key) for key in table]
+    assert tri_edges.tolist() == [[table[(min(u, v), max(u, v))]
+                                   for u, v in ((a, b), (b, c), (c, a))]
+                                  for a, b, c in mesh.triangles.tolist()]
     on_side = 0
     for a, b in edges:
         va, vb = mesh.vertices[a], mesh.vertices[b]

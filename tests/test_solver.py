@@ -19,12 +19,16 @@ def lap_bubble(x, y):
     return -2.0 * (y * (1 - y) + x * (1 - x))
 
 
-def test_polynomial_solution_is_exact():
+@pytest.mark.parametrize("part", [
+    TimePartition.uniform(1.0, 0.25),
+    # graded: slab lengths 0.25, 0.25, 0.1, 0.4 need three factorizations
+    TimePartition.from_breakpoints([0.0, 0.25, 0.5, 0.6, 1.0]),
+], ids=["uniform", "graded"])
+def test_polynomial_solution_is_exact(part):
     # u = t^2 w(x,y) with w the degree-4 bubble lies in the trial space for
     # p >= 4, q >= 2, and with k = 0 the scheme must reproduce it exactly.
     c, delta = 1.3, 0.01
     space = FESpace(unit_square_mesh(2), 4)
-    part = TimePartition.uniform(1.0, 0.25)
 
     def f(x, y, t):
         return 2.0 * bubble(x, y) - (c * c * t * t + 2 * delta * t) * lap_bubble(x, y)
@@ -42,6 +46,9 @@ def test_polynomial_solution_is_exact():
         err_dt = sol.dt(t, side="left") - 2 * t * w
         assert np.max(np.abs(err_dt)) < 1e-10, t
     assert max(info.residual for info in rep.slabs) < 1e-9
+    distinct = np.unique(part.taus).size
+    assert rep.n_factorizations == distinct
+    assert rep.factorization_reuses == part.n_slabs - distinct
 
 
 def test_linear_problem_takes_one_iteration():

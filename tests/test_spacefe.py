@@ -20,6 +20,32 @@ def test_dof_counts(n, p):
     assert space.free_dofs.size == space.n_free
 
 
+@pytest.mark.parametrize("n,p", [(2, 1), (3, 2), (2, 4), (5, 3)])
+def test_dofmap_matches_loop_numbering(n, p):
+    # reference: triangle-by-triangle numbering of edges by first appearance
+    space = make_space(n, p)
+    mesh, nv = space.mesh, space.mesh.n_vertices
+    edges, rows = {}, []
+    for a, b, c in mesh.triangles.tolist():
+        for u, v in ((a, b), (b, c), (c, a)):
+            edges.setdefault((min(u, v), max(u, v)), len(edges))
+    int_base = nv + len(edges) * (p - 1)
+    n_int = space.ref.n_interior
+    for t, (a, b, c) in enumerate(mesh.triangles.tolist()):
+        row = [a, b, c]
+        for u, v in ((a, b), (b, c), (c, a)):
+            slots = list(range(p - 1))[::-1] if u > v else list(range(p - 1))
+            row += [nv + edges[(min(u, v), max(u, v))] * (p - 1) + k for k in slots]
+        rows.append(row + [int_base + t * n_int + k for k in range(n_int)])
+    assert space.cell_dofs.tolist() == rows
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    dirichlet = set(np.flatnonzero(mesh.boundary_vertex).tolist())
+    for (u, v), e in edges.items():
+        if any(x[u] == x[v] == s or y[u] == y[v] == s for s in (0.0, 1.0)):
+            dirichlet |= set(range(nv + e * (p - 1), nv + (e + 1) * (p - 1)))
+    assert space.free_dofs.tolist() == sorted(set(range(space.n_dof)) - dirichlet)
+
+
 @pytest.mark.parametrize("n,p", [(2, 1), (3, 2), (2, 5)])
 def test_mass_matrix_total(n, p):
     space = make_space(n, p)

@@ -5,7 +5,7 @@ import pytest
 
 from westfem.timefe import (SlabWeight, TimePartition, TimePoly, gauss_interval,
                             l2_project_time, ptau_project,
-                            shifted_legendre_table, weight_phi, zeta)
+                            shifted_legendre_table, trial_basis, weight_phi, zeta)
 
 
 def test_uniform_partition():
@@ -31,6 +31,15 @@ def test_locate():
     assert n == 0 and s == 0.0
     n, s = part.locate(1.0)
     assert n == 1 and abs(s - 1.0) < 1e-14
+    # left limits: a breakpoint belongs to the slab ending there, and times
+    # outside [0, T] clamp to the end slabs on either side
+    assert part.locate(0.4, side="left") == (0, 1.0)
+    assert part.locate(0.4, side="right") == (1, 0.0)
+    assert part.locate(0.0, side="left") == (0, 0.0)
+    assert part.locate(-0.3, side="left") == (0, 0.0)
+    assert part.locate(1.0, side="left") == (1, 1.0)
+    assert part.locate(1.7, side="left") == (1, 1.0)
+    assert part.locate(1.7, side="right") == (1, 1.0)
 
 
 @pytest.mark.parametrize("q", [1, 3, 5])
@@ -66,6 +75,36 @@ def test_timepoly_sides():
     assert poly(0.5, side="left") == pytest.approx(1.0, abs=1e-15)
     assert poly(0.5, side="right") == pytest.approx(2.0, abs=1e-15)
     assert poly(1.0) == pytest.approx(2.0, abs=1e-15)
+    # beyond T both sides clamp to the end value instead of extrapolating
+    p3 = ptau_project(3, lambda t: np.sin(3 * t), lambda t: 3 * np.cos(3 * t),
+                      TimePartition.uniform(1.0, 0.5))
+    assert p3(1.5, side="left") == p3(1.5, side="right") == p3(1.0, side="left")
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_trial_basis(q):
+    b = trial_basis(q)
+    assert trial_basis(q) is b
+    start = shifted_legendre_table(q, np.array([0.0, 1.0]))[0]   # (q+1, 2)
+    assert np.array_equal(start[1:, 0] - b.lt_start[1:], np.zeros(q))   # B_j(0) = 0
+    assert np.array_equal(start[1:, 1] - b.lt_start[1:], b.b_end)
+    assert np.array_equal(b.b_end, 1.0 - (-1.0) ** np.arange(1, q + 1))
+    # to_modal at s = 0 and s = 1 gives the start and the slab-end values
+    rng = np.random.default_rng(q)
+    u_start, modes = rng.standard_normal(4), rng.standard_normal((q, 4))
+    modal = b.to_modal(u_start, modes)
+    assert np.allclose(start[:, 0] @ modal, u_start, rtol=0, atol=1e-13)
+    assert np.allclose(start[:, 1] @ modal, b.end_value(u_start, modes), rtol=0, atol=1e-13)
+    assert np.allclose(b.rows(u_start, modes, np.array([0.0, 1.0]), 1.0),
+                       [u_start, b.end_value(u_start, modes)], rtol=0, atol=1e-13)
+    # Gram blocks against a higher-order rule, to 1e-14 of the integrand size
+    g, w = gauss_interval(2 * q + 6)
+    tab = shifted_legendre_table(q, g, nderiv=2)
+    test = tab[0, :q] * w
+    for got, d in ((b.a0, 0), (b.a1, 1), (b.a2, 2)):
+        size = (np.abs(test) @ np.abs(tab[d]).T).max()
+        assert np.max(np.abs(got - test @ tab[d].T)) <= 1e-14 * size
+    assert np.array_equal(b.d0, shifted_legendre_table(q, np.array([0.0]), nderiv=1)[1, :, 0])
 
 
 @pytest.mark.parametrize("r", [0, 1, 3])

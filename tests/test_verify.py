@@ -6,31 +6,26 @@ from westfem.timefe import zeta
 from westfem.verify import SUITES, run_verify
 
 
-@pytest.fixture(scope="module")
-def full_report():
-    return run_verify()
+def test_all_suites_pass(verify_report):
+    failed = [s.name for s in verify_report.suites if not s.passed]
+    assert verify_report.passed, f"failing suites: {failed}"
 
 
-def test_all_suites_pass(full_report):
-    failed = [s.name for s in full_report.suites if not s.passed]
-    assert full_report.passed, f"failing suites: {failed}"
-
-
-def test_suite_inventory(full_report):
-    assert len(full_report.suites) >= 12
-    names = [s.name for s in full_report.suites]
+def test_suite_inventory(verify_report):
+    assert len(verify_report.suites) >= 12
+    names = [s.name for s in verify_report.suites]
     assert len(names) == len(set(names))
-    for suite in full_report.suites:
+    for suite in verify_report.suites:
         assert suite.error is None
         assert len(suite.checks) >= 1
 
 
-def test_report_serialization(full_report):
-    d = full_report.to_dict()
+def test_report_serialization(verify_report):
+    d = verify_report.to_dict()
     assert d["n_suites"] == len(SUITES)
     assert d["n_failed"] == 0
     assert all("checks" in s for s in d["suites"])
-    lines = full_report.summary_lines()
+    lines = verify_report.summary_lines()
     assert len(lines) == len(SUITES) + 1  # one per suite + summary
 
 
