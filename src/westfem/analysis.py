@@ -48,7 +48,7 @@ def err_linf_l2(sol: DiscreteSolution, ref, mode: str,
     deg = max(2 * space.p + 2, 12) if quad_degree is None else quad_degree
     ed = space.element_data(deg)
     x, y = ed.phys[:, :, 0], ed.phys[:, :, 1]
-    wd = ed.w[None, :] * ed.detj[:, None]
+    wd = ed.wdetj
     worst = 0.0
     for n in range(sol.partition.n_slabs):
         t0, tau = sol.partition.breakpoints[n], sol.partition.taus[n]
@@ -139,7 +139,7 @@ def data_functional(space, partition, case) -> float:
     entering the continuous stability bound."""
     ed = space.element_data(max(2 * space.p + 2, 12))
     x, y = ed.phys[:, :, 0], ed.phys[:, :, 1]
-    wd = ed.w[None, :] * ed.detj[:, None]
+    wd = ed.wdetj
 
     g, w = gauss_interval(6)
     f_l1l2 = 0.0

@@ -8,6 +8,8 @@ Homogeneous Dirichlet conditions are imposed by restriction to free dofs.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
@@ -25,6 +27,9 @@ class FESpace:
         self.ref = reference_element(p)
         self._build_dofmap()
         self._cache: dict = {}
+        # one lock for every lazy entry: studies share a space across threads,
+        # and an entry may build another one (mass needs element data)
+        self._lock = threading.RLock()
 
     # -- construction -------------------------------------------------
 
@@ -78,34 +83,31 @@ class FESpace:
         self.free_dofs = np.flatnonzero(self.is_free)
         self.n_free = self.free_dofs.size
 
-    # -- per-rule element data ----------------------------------------
+    # -- cached operators ----------------------------------------------
+
+    def _cached(self, key, build):
+        """The entry under `key`, built once by `build()` on first use."""
+        with self._lock:
+            if key not in self._cache:
+                self._cache[key] = build()
+            return self._cache[key]
 
     def element_data(self, degree: int) -> "ElementData":
-        key = ("edata", degree)
-        if key not in self._cache:
-            self._cache[key] = ElementData(self, degree)
-        return self._cache[key]
-
-    # -- cached global operators --------------------------------------
+        return self._cached(("edata", degree), lambda: ElementData(self, degree))
 
     @property
     def mass(self) -> sp.csr_matrix:
-        if "mass" not in self._cache:
-            self._cache["mass"] = assemble_mass(self)
-        return self._cache["mass"]
+        return self._cached("mass", lambda: assemble_mass(self))
 
     @property
     def stiffness(self) -> sp.csr_matrix:
-        if "stiffness" not in self._cache:
-            self._cache["stiffness"] = assemble_stiffness(self)
-        return self._cache["stiffness"]
+        return self._cached("stiffness", lambda: assemble_stiffness(self))
 
     def _ff(self, name):
-        key = (name, "ff")
-        if key not in self._cache:
+        def build():
             mat = getattr(self, name)
-            self._cache[key] = mat[self.free_dofs][:, self.free_dofs].tocsc()
-        return self._cache[key]
+            return mat[self.free_dofs][:, self.free_dofs].tocsc()
+        return self._cached((name, "ff"), build)
 
     @property
     def mass_ff(self):
@@ -116,10 +118,7 @@ class FESpace:
         return self._ff("stiffness")
 
     def _solver(self, name):
-        key = (name, "lu")
-        if key not in self._cache:
-            self._cache[key] = splu(self._ff(name))
-        return self._cache[key]
+        return self._cached((name, "lu"), lambda: splu(self._ff(name)))
 
     def solve_stiffness(self, rhs_free):
         return self._solver("stiffness").solve(rhs_free)
@@ -129,7 +128,22 @@ class FESpace:
 
 
 class ElementData:
-    """Reference basis tables and geometry factors for one quadrature rule."""
+    """Reference basis tables and geometry factors for one quadrature rule.
+
+    Layout rule: the per-call kernels (values, gradients, loads) hand einsum
+    operands laid out so that its loops are vectorised over the element axis
+    instead of running over the short local axes.  For this the data keeps
+    two contiguous copies next to the natural layouts: `gdofs_lt` =
+    cell_dofs.T (nl, nt) and `grads_lqd` = grads_ref as (nl, nq, 2).
+    Reference gradients come out component-major (2, nt, nq) and J^{-1} is
+    applied by elementwise products; loads fold the weights into f before
+    contracting.  Each kernel forms the same products and sums them in the
+    same order as the element-major einsum it replaces, so results are equal
+    bit for bit (pinned in tests/test_spacefe.py).  `function_values` is a
+    BLAS matmul instead, which orders its sums differently: it agrees with
+    `function_values_multi` only to round-off, so a call site must not
+    switch between the two.
+    """
 
     def __init__(self, space: FESpace, degree: int):
         mesh, ref = space.mesh, space.ref
@@ -137,11 +151,13 @@ class ElementData:
         self.qpts, self.w = pts, w
         self.vals = ref.eval_basis(pts)                  # (nq, nl)
         self.grads_ref = ref.eval_basis_grad(pts)        # (nq, nl, 2)
+        self.grads_lqd = np.ascontiguousarray(self.grads_ref.transpose(1, 0, 2))
 
         tri = mesh.triangles
         va, vb, vc = (mesh.vertices[tri[:, k]] for k in range(3))
         jac = np.stack([vb - va, vc - va], axis=2)       # (nt, 2, 2), columns
         self.detj = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        self.wdetj = w[None, :] * self.detj[:, None]     # (nt, nq) weights
         inv = np.empty_like(jac)
         inv[:, 0, 0] = jac[:, 1, 1]
         inv[:, 0, 1] = -jac[:, 0, 1]
@@ -153,6 +169,7 @@ class ElementData:
                      + pts[None, :, 0, None] * (vb - va)[:, None, :]
                      + pts[None, :, 1, None] * (vc - va)[:, None, :])
         self.gdofs = space.cell_dofs
+        self.gdofs_lt = np.ascontiguousarray(space.cell_dofs.T)
         self.n_dof = space.n_dof
 
     def function_values(self, coeffs: np.ndarray) -> np.ndarray:
@@ -162,25 +179,25 @@ class ElementData:
 
     def function_gradients(self, coeffs: np.ndarray) -> np.ndarray:
         """Physical gradients at quadrature points; (nt, nq, 2)."""
-        local = coeffs[self.gdofs]
-        gref = np.einsum("tl,qld->tqd", local, self.grads_ref)
-        return np.einsum("tqd,tde->tqe", gref, self.jinv)
+        gref = np.einsum("tl,lqd->dtq", coeffs[self.gdofs], self.grads_lqd)
+        out = np.empty(gref.shape[1:] + (2,))
+        for e in range(2):                               # sum_d gref_d J^{-1}_de
+            np.multiply(gref[0], self.jinv[:, 0, e, None], out=out[:, :, e])
+            out[:, :, e] += gref[1] * self.jinv[:, 1, e, None]
+        return out
 
     def function_values_multi(self, coeffs: np.ndarray) -> np.ndarray:
         """Batched function_values for coefficient rows; (m, n_dof) -> (m, nt, nq)."""
-        local = coeffs[:, self.gdofs]                    # (m, nt, nl)
-        return np.einsum("mtl,ql->mtq", local, self.vals)
+        local = coeffs[:, self.gdofs_lt]                 # (m, nl, nt)
+        return np.einsum("mlt,ql->mtq", local, self.vals)
 
     def assemble_pointwise_load(self, f_qp: np.ndarray) -> np.ndarray:
         """(f, phi_i) for f given by its values at quadrature points."""
-        loc = np.einsum("tq,q,qi->ti", f_qp, self.w, self.vals) * self.detj[:, None]
-        out = np.zeros(self.n_dof)
-        np.add.at(out, self.gdofs.ravel(), loc.ravel())
-        return out
+        return self.assemble_pointwise_load_multi(f_qp[None])[0]
 
     def assemble_pointwise_load_multi(self, f_qp: np.ndarray) -> np.ndarray:
         """Batched load assembly; f_qp (m, nt, nq) -> (m, n_dof)."""
-        loc = np.einsum("mtq,q,qi->mti", f_qp, self.w, self.vals) * self.detj[None, :, None]
+        loc = np.einsum("mtq,qi->mti", f_qp * self.w, self.vals) * self.detj[None, :, None]
         out = np.zeros((f_qp.shape[0], self.n_dof))
         for row, lrow in zip(out, loc):
             np.add.at(row, self.gdofs.ravel(), lrow.ravel())

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -154,7 +155,7 @@ def run_study(spec: StudySpec, threads: int = 1, strict: bool = False) -> StudyR
         base_cfg = ProblemConfig(case=base_case, **spec.fixed)
         _, baseline, _ = _run_entry(base_cfg, shared_space)
 
-    rows, failures, n_dofs = [], [], []
+    rows, failures, n_dofs, err_times = [], [], [], []
     errs_dt, errs_g, params = [], [], []
     for i, cfg in enumerate(configs):
         res, err = results[i]
@@ -163,11 +164,13 @@ def run_study(spec: StudySpec, threads: int = 1, strict: bool = False) -> StudyR
             continue
         space, sol, rep = res
         ref = baseline if spec.kind == "delta" else cfg.case
+        t_err = time.perf_counter()
         if spec.kind != "delta" and cfg.case.u is None:
             e_dt = e_g = None
         else:
             e_dt = err_linf_l2(sol, ref, "dt")
             e_g = err_linf_l2(sol, ref, "grad")
+        err_times.append(round(time.perf_counter() - t_err, 6))
         cells = config_cells(cfg)
         cells.update({"err_dt": e_dt, "err_grad": e_g,
                       "iters_mean": round(rep.iters_mean, 3),
@@ -181,7 +184,7 @@ def run_study(spec: StudySpec, threads: int = 1, strict: bool = False) -> StudyR
             params.append(cells[_EOC_PARAM[spec.kind]] if spec.kind in _EOC_PARAM else None)
 
     _fill_eoc(spec, rows)
-    summary = _summary(spec, rows, failures, n_dofs, errs_dt, errs_g, params)
+    summary = _summary(spec, rows, failures, n_dofs, errs_dt, errs_g, params, err_times)
     return StudyResult(spec, rows, failures, n_dofs, summary)
 
 
@@ -209,12 +212,14 @@ def _fill_eoc(spec: StudySpec, rows: list):
             row[col] = round(float(v), 4)
 
 
-def _summary(spec, rows, failures, n_dofs, errs_dt, errs_g, params) -> dict:
+def _summary(spec, rows, failures, n_dofs, errs_dt, errs_g, params, err_times) -> dict:
     out = {"name": spec.name, "kind": spec.kind, "case": spec.case,
            "sweep": list(spec.sweep), "fixed": spec.fixed,
            "case_overrides": spec.case_overrides,
            "n_dofs": n_dofs, "rows": len(rows), "failures": failures,
-           "err_dt": errs_dt, "err_grad": errs_g}
+           "err_dt": errs_dt, "err_grad": errs_g,
+           # seconds in err_linf_l2 per row; runtime_s times only the solve
+           "runtime_err_s": err_times}
     if spec.kind in _EOC_PARAM and len(errs_dt) >= 2:
         out["eoc_dt"] = [round(float(v), 4) for v in eoc(errs_dt, params)]
         out["eoc_grad"] = [round(float(v), 4) for v in eoc(errs_g, params)]

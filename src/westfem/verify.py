@@ -116,7 +116,7 @@ class Checker:
 def _l2_err(space: FESpace, coeffs, g, deg: int | None = None) -> float:
     ed = space.element_data(max(2 * space.p + 2, 12) if deg is None else deg)
     x, y = ed.phys[:, :, 0], ed.phys[:, :, 1]
-    wd = ed.w[None, :] * ed.detj[:, None]
+    wd = ed.wdetj
     e = ed.function_values(coeffs) - g(x, y)
     return float(np.sqrt(np.sum(e * e * wd)))
 
@@ -124,7 +124,7 @@ def _l2_err(space: FESpace, coeffs, g, deg: int | None = None) -> float:
 def _h1_err(space: FESpace, coeffs, grad_g, deg: int | None = None) -> float:
     ed = space.element_data(max(2 * space.p + 2, 12) if deg is None else deg)
     x, y = ed.phys[:, :, 0], ed.phys[:, :, 1]
-    wd = ed.w[None, :] * ed.detj[:, None]
+    wd = ed.wdetj
     gr = ed.function_gradients(coeffs)
     gx, gy = grad_g(x, y)
     e = (gr[:, :, 0] - gx) ** 2 + (gr[:, :, 1] - gy) ** 2

@@ -1,8 +1,13 @@
 """Assembly, interpolation, Ritz projection, and point evaluation."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import westfem.spacefe as spacefe
 from westfem.mesh import unit_square_mesh
 from westfem.spacefe import (FESpace, discrete_laplacian, evaluate, interpolate,
                              ritz_project, ritz_project_fd)
@@ -149,3 +154,75 @@ def test_boundary_rows_fixed():
     on_bnd = np.any((space.dof_coords <= 1e-12) | (space.dof_coords >= 1 - 1e-12),
                     axis=1)
     assert np.array_equal(~free, on_bnd)
+
+
+def _kernel_cases():
+    for p in range(1, 6):
+        for deg in sorted({2 * p + 2, 3 * p + 2, max(2 * p + 2, 12)}):
+            yield p, deg
+
+
+@pytest.mark.parametrize("p,deg", list(_kernel_cases()))
+def test_kernels_match_element_major_einsum(p, deg):
+    # the element-major einsum forms the relaid kernels replaced; these must
+    # stay equal bit for bit, so the comparison is exact
+    space = make_space(3, p)
+    ed = space.element_data(deg)
+    rng = np.random.default_rng(10 * p + deg)
+    rows = rng.standard_normal((4, space.n_dof))
+    strided = rng.standard_normal((4, 2 * space.n_dof))[:, ::2]
+    f_qp = rng.standard_normal((4,) + ed.wdetj.shape)
+
+    def scatter(loc):
+        out = np.zeros((len(loc), space.n_dof))
+        for row, lrow in zip(out, loc):
+            np.add.at(row, space.cell_dofs.ravel(), lrow.ravel())
+        return out
+
+    for coeffs in (rows, strided):
+        ref = np.einsum("mtl,ql->mtq", coeffs[:, space.cell_dofs], ed.vals)
+        assert np.array_equal(ed.function_values_multi(coeffs), ref)
+        for row in coeffs:
+            gref = np.einsum("tl,qld->tqd", row[space.cell_dofs], ed.grads_ref)
+            ref = np.einsum("tqd,tde->tqe", gref, ed.jinv)
+            assert np.array_equal(ed.function_gradients(row), ref)
+    ref = scatter(np.einsum("mtq,q,qi->mti", f_qp, ed.w, ed.vals) * ed.detj[None, :, None])
+    assert np.array_equal(ed.assemble_pointwise_load_multi(f_qp), ref)
+    single = np.einsum("tq,q,qi->ti", f_qp[1], ed.w, ed.vals) * ed.detj[:, None]
+    assert np.array_equal(ed.assemble_pointwise_load(f_qp[1]), scatter(single[None])[0])
+    assert np.array_equal(ed.assemble_pointwise_load(f_qp[1]), ref[1])
+    assert np.array_equal(ed.wdetj, ed.w[None, :] * ed.detj[:, None])
+
+
+def test_lazy_cache_builds_once_under_thread_contention(monkeypatch):
+    # more threads than cores, a short switch interval and a slow build, so
+    # that an unlocked check-then-build would let several threads build it
+    builds = []
+    real = spacefe.assemble_stiffness
+
+    def counted(space):
+        builds.append(space)
+        time.sleep(0.01)
+        return real(space)
+
+    monkeypatch.setattr(spacefe, "assemble_stiffness", counted)
+    space = make_space(4, 2)
+    seen = []
+
+    def work():
+        seen.append((space.stiffness, space.stiffness_ff, space.element_data(7)))
+        space.solve_stiffness(np.ones(space.n_free))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8 and len(builds) == 1
+    assert all(all(a is b for a, b in zip(s, seen[0])) for s in seen)

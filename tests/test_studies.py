@@ -1,10 +1,13 @@
 """Study driver: spec validation, sweep execution, CSV/JSON/SVG output."""
 
 import csv
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import westfem.spacefe as spacefe
 from westfem.errors import SolverFailure
 from westfem.studies import (CSV_COLUMNS, StudySpec, run_study, write_csv,
                              write_study_outputs)
@@ -156,3 +159,33 @@ def test_output_files(h_result, tmp_path):
         assert key in paths
     svg = open(paths["svg"]).read()
     assert svg.startswith("<svg") and "slope" in svg
+
+
+def test_summary_times_error_functionals(h_result):
+    times = h_result.summary["runtime_err_s"]
+    assert len(times) == len(h_result.rows)
+    assert all(t > 0 for t in times)
+
+
+def test_threaded_delta_study_builds_each_operator_once(monkeypatch):
+    # the entries share one space; a slow build keeps both pool threads
+    # inside the same lazy cache entry, which must still be built only once
+    builds = Counter()
+
+    def counted(name, build):
+        def wrapper(*args):
+            builds[(name,) + args[1:]] += 1
+            time.sleep(0.02)
+            return build(*args)
+        return wrapper
+
+    for name in ("ElementData", "assemble_mass", "assemble_stiffness", "splu"):
+        monkeypatch.setattr(spacefe, name, counted(name, getattr(spacefe, name)))
+    # standing-wave starts from a Ritz projection, so the cached LU is used too
+    spec = StudySpec(kind="delta", case="standing-wave", sweep=[1e-3, 1e-2],
+                     fixed={"n": 3, "p": 1, "q": 2, "tau": 0.25})
+    result = run_study(spec, threads=2)
+    assert not result.failures
+    for name in ("assemble_mass", "assemble_stiffness", "splu"):
+        assert builds[(name,)] == 1, builds
+    assert all(count == 1 for count in builds.values()), builds
