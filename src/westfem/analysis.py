@@ -45,10 +45,7 @@ def err_linf_l2(sol: DiscreteSolution, ref, mode: str,
             worst = max(worst, float(np.einsum("sd,sd->s", d, (form @ d.T).T).max()))
         return float(np.sqrt(worst))
 
-    deg = max(2 * space.p + 2, 12) if quad_degree is None else quad_degree
-    ed = space.element_data(deg)
-    x, y = ed.phys[:, :, 0], ed.phys[:, :, 1]
-    wd = ed.wdetj
+    ed = space.ed_err if quad_degree is None else space.element_data(quad_degree)
     worst = 0.0
     for n in range(sol.partition.n_slabs):
         t0, tau = sol.partition.breakpoints[n], sol.partition.taus[n]
@@ -56,14 +53,14 @@ def err_linf_l2(sol: DiscreteSolution, ref, mode: str,
         if mode == "dt":
             vals = ed.function_values_multi(rows)
             for s, fe in zip(svec, vals):
-                e = fe - ref.dtu(x, y, t0 + tau * s)
-                worst = max(worst, float(np.sum(e * e * wd)))
+                e = fe - ed.sample(ref.dtu, t0 + tau * s)
+                worst = max(worst, ed.integrate(e * e))
         else:
             for s, row in zip(svec, rows):
                 g = ed.function_gradients(row)
-                gx, gy = ref.grad_u(x, y, t0 + tau * s)
+                gx, gy = ed.sample(ref.grad_u, t0 + tau * s)
                 e = (g[:, :, 0] - gx) ** 2 + (g[:, :, 1] - gy) ** 2
-                worst = max(worst, float(np.sum(e * wd)))
+                worst = max(worst, ed.integrate(e))
     return float(np.sqrt(worst))
 
 
@@ -137,25 +134,21 @@ def eoc(errors, params) -> np.ndarray:
 def data_functional(space, partition, case) -> float:
     """Data size sqrt(||f||^2_{L1L2} + ||(1+k u0) u1||^2 + c^2 ||grad u0||^2)
     entering the continuous stability bound."""
-    ed = space.element_data(max(2 * space.p + 2, 12))
-    x, y = ed.phys[:, :, 0], ed.phys[:, :, 1]
-    wd = ed.wdetj
-
+    ed = space.ed_err
     g, w = gauss_interval(6)
     f_l1l2 = 0.0
     for n in range(partition.n_slabs):
         t0, tau = partition.breakpoints[n], partition.taus[n]
         for gs, ws_ in zip(g, w):
-            fv = np.broadcast_to(case.f(x, y, t0 + tau * gs), x.shape)
-            f_l1l2 += tau * ws_ * np.sqrt(float(np.sum(fv * fv * wd)))
+            fv = ed.sample(case.f, t0 + tau * gs)
+            f_l1l2 += tau * ws_ * np.sqrt(ed.integrate(fv * fv))
 
     total = f_l1l2 ** 2
     if case.u1 is not None:
-        u0v = np.broadcast_to(case.u0(x, y), x.shape) if case.u0 is not None else 0.0
-        u1v = np.broadcast_to(case.u1(x, y), x.shape)
-        gv = (1.0 + case.k * u0v) * u1v
-        total += float(np.sum(gv * gv * wd))
+        u0v = ed.sample(case.u0) if case.u0 is not None else 0.0
+        gv = (1.0 + case.k * u0v) * ed.sample(case.u1)
+        total += ed.integrate(gv * gv)
     if case.u0_grad is not None:
-        gx, gy = case.u0_grad(x, y)
-        total += case.c ** 2 * float(np.sum((gx * gx + gy * gy) * wd))
+        gx, gy = ed.sample(case.u0_grad)
+        total += case.c ** 2 * ed.integrate(gx * gx + gy * gy)
     return float(np.sqrt(total))

@@ -137,9 +137,7 @@ class ProblemConfig:
     def __post_init__(self):
         if self.n < 1 or self.p < 1 or self.q < 2:
             raise ValueError(f"need n >= 1, p >= 1, q >= 2; got n={self.n}, p={self.p}, q={self.q}")
-        nsl = round(self.case.T / self.tau)
-        if nsl < 1 or abs(nsl * self.tau - self.case.T) > 1e-12 * max(1.0, self.case.T):
-            raise ValueError(f"tau={self.tau} does not divide T={self.case.T}")
+        TimePartition.uniform(self.case.T, self.tau)   # tau > 0 and divides T
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemConfig":

@@ -107,6 +107,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_study(args) -> int:
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     spec_dict = _load_json(args.spec)
     if not isinstance(spec_dict, dict):
         raise UsageError(f"{args.spec} must hold a JSON object")

@@ -20,9 +20,11 @@ _ALPHA_OPT = (0.0, 0.0, 1.4152, 0.1001, 0.2751, 0.9800, 1.0999, 1.2832,
               1.3648, 1.4773, 1.4959, 1.5743, 1.5770, 1.6223, 1.6258)
 
 
-def _gauss01(n: int):
-    """n-point Gauss-Legendre rule on [0,1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+def gauss_interval(npts: int):
+    """npts-point Gauss-Legendre rule on [0,1]."""
+    if npts < 1:
+        raise ValueError(f"need npts >= 1, got {npts}")
+    x, w = np.polynomial.legendre.leggauss(npts)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
@@ -37,8 +39,8 @@ def triangle_quadrature(degree: int):
     # Duffy map (xi, t) -> (xi, t*(1-xi)); Jacobian (1-xi) raises the
     # xi-degree by one, hence the +2.
     n = (degree + 2 + 1) // 2
-    gx, wx = _gauss01(n)
-    gy, wy = _gauss01(n)
+    gx, wx = gauss_interval(n)
+    gy, wy = gauss_interval(n)
     xi = np.repeat(gx, n)
     t = np.tile(gy, n)
     pts = np.column_stack([xi, t * (1.0 - xi)])
@@ -194,7 +196,6 @@ class ReferenceElement:
         self.nodes = np.column_stack([xi, eta])
         self.lattice = lat
         # dof grouping: [0:3] vertices, then (p-1) per edge, rest interior
-        self.n_edge_nodes = p - 1
         self.n_interior = self.n_nodes - 3 - 3 * (p - 1)
 
         vv, _ = _pkd_eval(p, self.nodes)

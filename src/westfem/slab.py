@@ -15,7 +15,7 @@ right-hand side through the lagged terms of the fixed-point iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,27 +33,6 @@ def coupling_blocks(q: int, tau: float, c: float, delta: float):
     a0b[0, :] -= b.lt_start[1:]            # <Lt_0, B_j> correction
     ck = c * c * tau * a0b + delta * b.a1[:, 1:]
     return cm, ck
-
-
-@dataclass
-class SlabSystem:
-    """Constant-coefficient operator of one slab (shared by all slabs of
-    equal length on a fixed space)."""
-
-    space: FESpace
-    q: int
-    tau: float
-    c: float
-    delta: float
-    lhs: sp.csc_matrix = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"temporal degree must be >= 1, got {self.q}")
-        if self.tau <= 0:
-            raise ValueError(f"slab length must be positive, got {self.tau}")
-        cm, ck = coupling_blocks(self.q, self.tau, self.c, self.delta)
-        self.lhs = assemble_slab_lhs(self.space, cm, ck)
 
 
 def assemble_slab_lhs(space: FESpace, cm: np.ndarray, ck: np.ndarray) -> sp.csc_matrix:
@@ -79,18 +58,15 @@ class SlabWorkspace:
     assembly, residuals, and the guard."""
 
     def __init__(self, space: FESpace, q: int):
-        p = space.p
         self.space = space
         self.basis = trial_basis(q)
-        self.ed_lin = space.element_data(2 * p + 2)
-        self.ed_nl = space.element_data(3 * p + 2)
+        self.ed_lin = space.ed_lin
+        self.ed_nl = space.ed_nl
 
     def f_time_loads(self, f, t_start: float, tau: float) -> np.ndarray:
         """Spatial loads of f at the slab's temporal Gauss nodes; (2q, n_dof)."""
         ed = self.ed_lin
-        x, y = ed.phys[:, :, 0], ed.phys[:, :, 1]
-        vals = np.stack([np.broadcast_to(f(x, y, t_start + tau * gk), x.shape)
-                         for gk in self.basis.nodes])
+        vals = np.stack([ed.sample(f, t_start + tau * gk) for gk in self.basis.nodes])
         return ed.assemble_pointwise_load_multi(vals)
 
     def time_integrate(self, loads: np.ndarray, tau: float) -> np.ndarray:

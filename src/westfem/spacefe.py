@@ -95,6 +95,19 @@ class FESpace:
     def element_data(self, degree: int) -> "ElementData":
         return self._cached(("edata", degree), lambda: ElementData(self, degree))
 
+    # the three rules of the scheme; see ElementData for the terms each serves
+    @property
+    def ed_lin(self) -> "ElementData":
+        return self.element_data(2 * self.p + 2)
+
+    @property
+    def ed_nl(self) -> "ElementData":
+        return self.element_data(3 * self.p + 2)
+
+    @property
+    def ed_err(self) -> "ElementData":
+        return self.element_data(max(2 * self.p + 2, 12))
+
     @property
     def mass(self) -> sp.csr_matrix:
         return self._cached("mass", lambda: assemble_mass(self))
@@ -129,6 +142,19 @@ class FESpace:
 
 class ElementData:
     """Reference basis tables and geometry factors for one quadrature rule.
+
+    Every spatial quadrature of the package goes through this class, on one
+    of three rules of FESpace:
+
+    - `ed_lin`, degree 2p+2: mass, stiffness, the Ritz projection and the
+      data loads (source f, initial velocity);
+    - `ed_nl`, degree 3p+2: the lagged nonlinear terms, the nonlinear
+      residual and the trace loads handed between slabs;
+    - `ed_err`, degree max(2p+2, 12): the error and data functionals.
+
+    Callers sample data with `sample`, integrate with `integrate` and
+    assemble through the kernels below; the geometry and weights stay inside
+    this module.
 
     Layout rule: the per-call kernels (values, gradients, loads) hand einsum
     operands laid out so that its loops are vectorised over the element axis
@@ -172,6 +198,18 @@ class ElementData:
         self.gdofs_lt = np.ascontiguousarray(space.cell_dofs.T)
         self.n_dof = space.n_dof
 
+    def sample(self, g, *t):
+        """g(x, y, *t) at the quadrature points, broadcast to (nt, nq); a
+        callable returning a tuple (a vector field) gets each entry broadcast."""
+        v = g(self.phys[:, :, 0], self.phys[:, :, 1], *t)
+        if isinstance(v, tuple):
+            return tuple(np.broadcast_to(c, self.wdetj.shape) for c in v)
+        return np.broadcast_to(v, self.wdetj.shape)
+
+    def integrate(self, v: np.ndarray) -> float:
+        """Integral over the domain of v given at the quadrature points (nt, nq)."""
+        return float(np.sum(v * self.wdetj))
+
     def function_values(self, coeffs: np.ndarray) -> np.ndarray:
         """FE function at all quadrature points; (nt, nq)."""
         local = coeffs[self.gdofs]                       # (nt, nl)
@@ -198,18 +236,20 @@ class ElementData:
     def assemble_pointwise_load_multi(self, f_qp: np.ndarray) -> np.ndarray:
         """Batched load assembly; f_qp (m, nt, nq) -> (m, n_dof)."""
         loc = np.einsum("mtq,qi->mti", f_qp * self.w, self.vals) * self.detj[None, :, None]
-        out = np.zeros((f_qp.shape[0], self.n_dof))
-        for row, lrow in zip(out, loc):
-            np.add.at(row, self.gdofs.ravel(), lrow.ravel())
-        return out
+        return self._scatter_loads(loc)
 
     def assemble_gradient_load(self, g_qp: np.ndarray) -> np.ndarray:
         """(g, grad phi_i) for a vector field g at quadrature points; g_qp (nt, nq, 2)."""
         gphys = np.einsum("qld,tde->tqle", self.grads_ref, self.jinv)
         loc = np.einsum("tqe,q,tqle->tl", g_qp, self.w, gphys) * self.detj[:, None]
-        out = np.zeros(self.n_dof)
-        np.add.at(out, self.gdofs.ravel(), loc.ravel())
-        return out
+        return self._scatter_loads(loc[None])[0]
+
+    def _scatter_loads(self, loc: np.ndarray) -> np.ndarray:
+        """Sum element load rows (m, nt, nl) into global rows (m, n_dof).
+        bincount adds in index order, as np.add.at does, so sums are equal."""
+        idx = self.gdofs.ravel()
+        return np.stack([np.bincount(idx, weights=row.ravel(), minlength=self.n_dof)
+                         for row in loc])
 
 
 def _scatter(space: FESpace, local: np.ndarray) -> sp.csr_matrix:
@@ -225,7 +265,7 @@ def _scatter(space: FESpace, local: np.ndarray) -> sp.csr_matrix:
 
 def assemble_mass(space: FESpace) -> sp.csr_matrix:
     """Global mass matrix (phi_j, phi_i)."""
-    ed = space.element_data(2 * space.p + 2)
+    ed = space.ed_lin
     m_ref = np.einsum("q,qi,qj->ij", ed.w, ed.vals, ed.vals)
     local = ed.detj[:, None, None] * m_ref[None, :, :]
     return _scatter(space, local)
@@ -233,7 +273,7 @@ def assemble_mass(space: FESpace) -> sp.csr_matrix:
 
 def assemble_stiffness(space: FESpace) -> sp.csr_matrix:
     """Global stiffness matrix (grad phi_j, grad phi_i)."""
-    ed = space.element_data(2 * space.p + 2)
+    ed = space.ed_lin
     # C_e = detJ * J^{-1} J^{-T}
     c = np.einsum("tde,tfe->tdf", ed.jinv, ed.jinv) * ed.detj[:, None, None]
     local = np.einsum("q,qid,tdf,qjf->tij", ed.w, ed.grads_ref, c, ed.grads_ref)
@@ -251,11 +291,8 @@ def ritz_project(space: FESpace, grad_g) -> np.ndarray:
     Defined by (grad(R_h g - g), grad v_h) = 0 for all v_h; needs only the
     gradient of g, passed as grad_g(x, y) -> (gx, gy).
     """
-    ed = space.element_data(2 * space.p + 2)
-    gx, gy = grad_g(ed.phys[:, :, 0], ed.phys[:, :, 1])
-    field = np.stack([np.broadcast_to(gx, ed.phys.shape[:2]),
-                      np.broadcast_to(gy, ed.phys.shape[:2])], axis=2)
-    rhs = ed.assemble_gradient_load(field)
+    ed = space.ed_lin
+    rhs = ed.assemble_gradient_load(np.stack(ed.sample(grad_g), axis=2))
     out = np.zeros(space.n_dof)
     out[space.free_dofs] = space.solve_stiffness(rhs[space.free_dofs])
     return out

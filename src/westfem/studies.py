@@ -68,6 +68,7 @@ class StudySpec:
             raise ValueError(f"{self.kind}-study is missing fixed parameters {missing}")
         if self.name is None:
             self.name = f"{self.kind}-{self.case}"
+        self.configs()   # reject a bad fixed entry or override when the spec is read
 
     @classmethod
     def from_dict(cls, d: dict) -> "StudySpec":
@@ -140,13 +141,9 @@ def run_study(spec: StudySpec, threads: int = 1, strict: bool = False) -> StudyR
                 raise
             return i, None, f"{type(exc).__name__}: {exc}"
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, res, err in pool.map(work, range(len(configs))):
-                results[i] = (res, err)
-    else:
-        for i in range(len(configs)):
-            _, res, err = work(i)
+    # map cancels the queued entries when one raises, so strict stops the sweep
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for i, res, err in pool.map(work, range(len(configs))):
             results[i] = (res, err)
 
     baseline = None

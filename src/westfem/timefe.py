@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .refelem import gauss_interval
+
 
 # -- partitions -------------------------------------------------------
 
@@ -94,14 +96,6 @@ def shifted_legendre_table(q: int, s: np.ndarray, nderiv: int = 0) -> np.ndarray
     for d in range(1, nderiv + 1):
         out[d] *= 2.0 ** d
     return out
-
-
-def gauss_interval(npts: int):
-    """npts-point Gauss-Legendre rule on [0,1]."""
-    if npts < 1:
-        raise ValueError(f"need npts >= 1, got {npts}")
-    x, w = np.polynomial.legendre.leggauss(npts)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 # -- the start-anchored trial basis ----------------------------------

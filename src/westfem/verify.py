@@ -113,22 +113,18 @@ class Checker:
 # -- shared helpers --------------------------------------------------
 
 
-def _l2_err(space: FESpace, coeffs, g, deg: int | None = None) -> float:
-    ed = space.element_data(max(2 * space.p + 2, 12) if deg is None else deg)
-    x, y = ed.phys[:, :, 0], ed.phys[:, :, 1]
-    wd = ed.wdetj
-    e = ed.function_values(coeffs) - g(x, y)
-    return float(np.sqrt(np.sum(e * e * wd)))
+def _l2_err(space: FESpace, coeffs, g) -> float:
+    ed = space.ed_err
+    e = ed.function_values(coeffs) - ed.sample(g)
+    return float(np.sqrt(ed.integrate(e * e)))
 
 
-def _h1_err(space: FESpace, coeffs, grad_g, deg: int | None = None) -> float:
-    ed = space.element_data(max(2 * space.p + 2, 12) if deg is None else deg)
-    x, y = ed.phys[:, :, 0], ed.phys[:, :, 1]
-    wd = ed.wdetj
+def _h1_err(space: FESpace, coeffs, grad_g) -> float:
+    ed = space.ed_err
     gr = ed.function_gradients(coeffs)
-    gx, gy = grad_g(x, y)
+    gx, gy = ed.sample(grad_g)
     e = (gr[:, :, 0] - gx) ** 2 + (gr[:, :, 1] - gy) ** 2
-    return float(np.sqrt(np.sum(e * wd)))
+    return float(np.sqrt(ed.integrate(e)))
 
 
 def _sin_product():
@@ -256,10 +252,8 @@ def suite_ritz_projection(ck: Checker):
     # orthogonality: stiffness residual of the projection vanishes on free dofs
     space = FESpace(unit_square_mesh(4), 2)
     r = ritz_project(space, grad)
-    ed = space.element_data(2 * space.p + 2)
-    x, y = ed.phys[:, :, 0], ed.phys[:, :, 1]
-    gx, gy = grad(x, y)
-    rhs = ed.assemble_gradient_load(np.stack([gx, gy], axis=2))
+    ed = space.ed_lin
+    rhs = ed.assemble_gradient_load(np.stack(ed.sample(grad), axis=2))
     res = rhs[space.free_dofs] - (space.stiffness @ r)[space.free_dofs]
     ck.below("galerkin-orthogonality",
              float(np.abs(res).max() / np.abs(rhs).max()), 1e-12)

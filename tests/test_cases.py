@@ -64,6 +64,8 @@ def test_config_rejects_bad_tau():
     case = smooth_case()
     with pytest.raises(ValueError):
         ProblemConfig(case=case, n=2, p=1, q=2, tau=0.3)  # 0.3 does not divide 1
+    with pytest.raises(ValueError):
+        ProblemConfig(case=case, n=2, p=1, q=2, tau=0)
 
 
 def test_config_rejects_bad_orders():

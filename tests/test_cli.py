@@ -71,10 +71,12 @@ def test_missing_file_exits_1(tmp_path):
     assert cli.main(["run", str(tmp_path / "absent.json")]) == 1
 
 
-def test_bad_config_exits_1(tmp_path):
+@pytest.mark.parametrize("tau", [0.3, 0], ids=["tau-does-not-divide-T", "tau-zero"])
+def test_bad_config_exits_1(tmp_path, capsys, tau):
     cfg = write_json(tmp_path / "c.json",
-                     {"case": "smooth", "n": 2, "p": 1, "q": 2, "tau": 0.3})
+                     {"case": "smooth", "n": 2, "p": 1, "q": 2, "tau": tau})
     assert cli.main(["run", cfg]) == 1
+    assert "error: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("snapshot", [{"snapshot_grid": 1},
@@ -125,9 +127,29 @@ def test_study_failure_exits_2(tmp_path):
     assert cli.main(["study", spec, "--out", str(tmp_path / "r")]) == 2
 
 
-def test_bad_study_spec_exits_1(tmp_path):
-    spec = write_json(tmp_path / "s.json", {"kind": "h", "case": "smooth"})
-    assert cli.main(["study", spec]) == 1
+@pytest.mark.parametrize("spec", [
+    {"kind": "h", "case": "smooth"},
+    {"kind": "h", "case": "smooth", "sweep": [2], "fixed": {"p": 1, "q": 2, "tau": 0}},
+    {"kind": "h", "case": "smooth", "sweep": [2],
+     "fixed": {"p": 1, "q": 2, "tau": 0.25, "order": 3}},
+], ids=["missing-sweep", "fixed-tau-zero", "fixed-unknown-key"])
+def test_bad_study_spec_exits_1(tmp_path, capsys, spec):
+    path = write_json(tmp_path / "s.json", spec)
+    assert cli.main(["study", path, "--out", str(tmp_path / "r")]) == 1
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_study_threads_below_1_exit_1(tmp_path, monkeypatch, capsys, threads):
+    def no_study(*args, **kwargs):
+        raise AssertionError("ran the study with a bad thread count")
+
+    monkeypatch.setattr(cli, "run_study", no_study)
+    spec = write_json(tmp_path / "s.json",
+                      {"kind": "h", "case": "smooth", "sweep": [2],
+                       "fixed": {"p": 1, "q": 2, "tau": 0.25}})
+    assert cli.main(["study", spec, "--threads", threads, "--out", str(tmp_path)]) == 1
+    assert "error: " in capsys.readouterr().err
 
 
 def test_verify_filtered_exits_0(capsys):

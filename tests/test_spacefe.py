@@ -193,6 +193,30 @@ def test_kernels_match_element_major_einsum(p, deg):
     assert np.array_equal(ed.assemble_pointwise_load(f_qp[1]), ref[1])
     assert np.array_equal(ed.wdetj, ed.w[None, :] * ed.detj[:, None])
 
+    # sampling, integration and the shared load scatter (gradient load
+    # against its einsum with an np.add.at scatter written inline)
+    x, y = ed.phys[:, :, 0], ed.phys[:, :, 1]
+    g = lambda x, y, t: np.sin(x + t) * y
+    assert np.array_equal(ed.sample(g, 0.3), g(x, y, 0.3))
+    assert np.array_equal(ed.sample(lambda x, y: 2.0), np.full(x.shape, 2.0))
+    gx, gy = ed.sample(lambda x, y: (np.cos(x), 1.0))
+    assert np.array_equal(gx, np.cos(x)) and np.array_equal(gy, np.ones(x.shape))
+    assert ed.integrate(f_qp[0]) == float(np.sum(f_qp[0] * (ed.w[None, :] * ed.detj[:, None])))
+    field = rng.standard_normal(ed.wdetj.shape + (2,))
+    gphys = np.einsum("qld,tde->tqle", ed.grads_ref, ed.jinv)
+    loc = np.einsum("tqe,q,tqle->tl", field, ed.w, gphys) * ed.detj[:, None]
+    ref = np.zeros(space.n_dof)
+    np.add.at(ref, space.cell_dofs.ravel(), loc.ravel())
+    assert np.array_equal(ed.assemble_gradient_load(field), ref)
+
+
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_named_rules_are_the_cached_rules(p):
+    space = make_space(2, p)
+    assert space.ed_lin is space.element_data(2 * p + 2)
+    assert space.ed_nl is space.element_data(3 * p + 2)
+    assert space.ed_err is space.element_data(max(2 * p + 2, 12))
+
 
 def test_lazy_cache_builds_once_under_thread_contention(monkeypatch):
     # more threads than cores, a short switch interval and a slow build, so

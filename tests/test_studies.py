@@ -47,6 +47,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="missing required key"):
             StudySpec.from_dict({"kind": "h", "case": "smooth"})
 
+    def test_bad_fixed_entry_rejected_when_read(self):
+        with pytest.raises(ValueError, match="tau"):
+            h_spec(fixed={"p": 1, "q": 2, "tau": 0})
+        with pytest.raises(TypeError):
+            h_spec(fixed={"p": 1, "q": 2, "tau": 0.25, "order": 3})
+
     def test_default_name(self):
         assert h_spec().name == "h-smooth"
         assert h_spec(name="mine").name == "mine"
