@@ -15,11 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import err_linf_l2
 from .cases import ProblemConfig, run_problem
 from .errors import SolverFailure
 from .spacefe import evaluate
-from .studies import StudySpec, config_cells, run_study, write_csv, write_study_outputs
+from .studies import StudySpec, result_row, run_study, write_csv, write_study_outputs
 from .verify import run_verify
 
 EXIT_OK, EXIT_USAGE, EXIT_SOLVER, EXIT_VERIFY = 0, 1, 2, 3
@@ -64,16 +63,11 @@ def _cmd_run(args) -> int:
         raise UsageError("snapshot_grid must be at least 2")
     if times is not None and times.ndim != 1:
         raise UsageError("snapshot_times must be a list of times")
+    if times is not None and not np.all((times >= 0) & (times <= cfg.case.T)):
+        raise UsageError(f"snapshot_times must lie in [0, T] = [0, {cfg.case.T}]")
 
     space, part, sol, rep = run_problem(cfg)
-    have_exact = cfg.case.u is not None
-    e_dt = err_linf_l2(sol, cfg.case, "dt") if have_exact else None
-    e_g = err_linf_l2(sol, cfg.case, "grad") if have_exact else None
-
-    row = config_cells(cfg)
-    row.update({"err_dt": e_dt, "err_grad": e_g, "eoc_dt": None, "eoc_grad": None,
-                "iters_mean": round(rep.iters_mean, 3), "iters_max": rep.iters_max,
-                "runtime_s": round(rep.runtime_s, 4)})
+    row = result_row(cfg, sol, rep, cfg.case)
 
     out = _out_dir(args)
     base = out / (name or f"run-{cfg.case.name}")
@@ -87,18 +81,15 @@ def _cmd_run(args) -> int:
         u = np.empty((len(times), m, m))
         du = np.empty_like(u)
         for i, t in enumerate(times):
-            side = "left" if i == len(times) - 1 and t >= part.breakpoints[-1] else "right"
-            u[i] = evaluate(space, sol.value(t, side=side),
-                            xg.ravel(), yg.ravel()).reshape(m, m)
-            du[i] = evaluate(space, sol.dt(t, side=side),
-                             xg.ravel(), yg.ravel()).reshape(m, m)
+            u[i] = evaluate(space, sol.value(t), xg.ravel(), yg.ravel()).reshape(m, m)
+            du[i] = evaluate(space, sol.dt(t), xg.ravel(), yg.ravel()).reshape(m, m)
         snap_path = base.parent / (base.name + "-snapshots.npz")
         snap_path.parent.mkdir(parents=True, exist_ok=True)
         np.savez(snap_path, x=ax, y=ax, t=times, u=u, dtu=du)
         written.append(str(snap_path))
 
-    err_txt = (f"err_dt={e_dt:.6e} err_grad={e_g:.6e}" if have_exact
-               else "no closed-form solution; errors not computed")
+    err_txt = ("no closed-form solution; errors not computed" if row["err_dt"] is None
+               else f"err_dt={row['err_dt']:.6e} err_grad={row['err_grad']:.6e}")
     print(f"run {cfg.case.name}: n={cfg.n} p={cfg.p} q={cfg.q} tau={cfg.tau} "
           f"| {err_txt} | iters<= {rep.iters_max} | {rep.runtime_s:.2f}s")
     for path in written:

@@ -49,11 +49,6 @@ def unit_square_mesh(n: int) -> Mesh:
     return Mesh(vertices=vertices, triangles=tris, boundary_vertex=boundary, n=n)
 
 
-def refine(mesh: Mesh) -> Mesh:
-    """Halve the cell size (regular refinement of the structured mesh)."""
-    return unit_square_mesh(2 * mesh.n)
-
-
 def mesh_size(mesh: Mesh) -> float:
     """Largest triangle diameter, h_max = sqrt(2)/n for this family."""
     v = mesh.vertices[mesh.triangles]  # (nt, 3, 2)

@@ -309,14 +309,6 @@ def ritz_project_fd(space: FESpace, g) -> np.ndarray:
     return ritz_project(space, grad)
 
 
-def discrete_laplacian(space: FESpace, coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of Delta_h v, defined by (Delta_h v, z) = -(grad v, grad z)."""
-    rhs = -(space.stiffness @ coeffs)[space.free_dofs]
-    out = np.zeros(space.n_dof)
-    out[space.free_dofs] = space.solve_mass(rhs)
-    return out
-
-
 def evaluate(space: FESpace, coeffs: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Point evaluation of a FE function on the structured mesh."""
     x = np.atleast_1d(np.asarray(x, dtype=float))

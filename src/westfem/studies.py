@@ -19,12 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import svgplot
 from .analysis import eoc, err_linf_l2
 from .cases import ProblemConfig, get_case, run_problem
 from .errors import SolverFailure
 from .mesh import unit_square_mesh
+from .solution import DiscreteSolution
 from .spacefe import FESpace
-from .svgplot import plot_loglog, plot_semilogy
 
 CSV_COLUMNS = ["case", "n", "h", "tau", "p", "q", "delta", "k", "c",
                "err_dt", "err_grad", "eoc_dt", "eoc_grad",
@@ -63,6 +64,11 @@ class StudySpec:
         s = np.asarray(self.sweep, dtype=float)
         if s.size > 1 and not (np.all(np.diff(s) > 0) or np.all(np.diff(s) < 0)):
             raise ValueError(f"sweep values must be strictly monotone, got {self.sweep}")
+        if self.kind in ("h", "cfl", "pq") and not np.all(np.mod(s, 1.0) == 0.0):
+            raise ValueError(f"{self.kind}-study sweep values must be whole numbers, "
+                             f"got {self.sweep}")
+        if self.kind == "delta" and not np.all(s > 0):
+            raise ValueError(f"delta-study sweep values must be positive, got {self.sweep}")
         missing = [key for key in _REQUIRED_FIXED[self.kind] if key not in self.fixed]
         if missing:
             raise ValueError(f"{self.kind}-study is missing fixed parameters {missing}")
@@ -117,15 +123,9 @@ class StudyResult:
         return not self.failures
 
 
-def _run_entry(cfg: ProblemConfig, space=None):
-    space, _, sol, rep = run_problem(cfg, space=space)
-    return space, sol, rep
-
-
 def run_study(spec: StudySpec, threads: int = 1, strict: bool = False) -> StudyResult:
     """Execute the sweep; failures are recorded per entry unless strict."""
     configs = spec.configs()
-    results: list = [None] * len(configs)
 
     # delta entries are differenced against a baseline on the identical
     # discretization, so they must share one space object
@@ -133,56 +133,36 @@ def run_study(spec: StudySpec, threads: int = 1, strict: bool = False) -> StudyR
     if spec.kind == "delta":
         shared_space = FESpace(unit_square_mesh(configs[0].n), configs[0].p)
 
-    def work(i):
+    def work(cfg):
         try:
-            return i, _run_entry(configs[i], shared_space), None
+            space, _, sol, rep = run_problem(cfg, space=shared_space)
+            return space.n_dof, sol, rep
         except SolverFailure as exc:
             if strict:
                 raise
-            return i, None, f"{type(exc).__name__}: {exc}"
+            return f"{type(exc).__name__}: {exc}"
 
     # map cancels the queued entries when one raises, so strict stops the sweep
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, res, err in pool.map(work, range(len(configs))):
-            results[i] = (res, err)
+        entries = list(pool.map(work, configs))
 
     baseline = None
     if spec.kind == "delta":
         base_case = get_case(spec.case, **{**spec.case_overrides, "delta": 0.0})
         base_cfg = ProblemConfig(case=base_case, **spec.fixed)
-        _, baseline, _ = _run_entry(base_cfg, shared_space)
+        _, _, baseline, _ = run_problem(base_cfg, space=shared_space)
 
-    rows, failures, n_dofs, err_times = [], [], [], []
-    errs_dt, errs_g, params = [], [], []
-    for i, cfg in enumerate(configs):
-        res, err = results[i]
-        if err is not None:
-            failures.append({"index": i, "config": config_cells(cfg), "error": err})
+    rows, failures, n_dofs = [], [], []
+    for i, (cfg, entry) in enumerate(zip(configs, entries)):
+        if isinstance(entry, str):
+            failures.append({"index": i, "config": config_cells(cfg), "error": entry})
             continue
-        space, sol, rep = res
-        ref = baseline if spec.kind == "delta" else cfg.case
-        t_err = time.perf_counter()
-        if spec.kind != "delta" and cfg.case.u is None:
-            e_dt = e_g = None
-        else:
-            e_dt = err_linf_l2(sol, ref, "dt")
-            e_g = err_linf_l2(sol, ref, "grad")
-        err_times.append(round(time.perf_counter() - t_err, 6))
-        cells = config_cells(cfg)
-        cells.update({"err_dt": e_dt, "err_grad": e_g,
-                      "iters_mean": round(rep.iters_mean, 3),
-                      "iters_max": rep.iters_max,
-                      "runtime_s": round(rep.runtime_s, 4)})
-        rows.append(cells)
-        n_dofs.append(space.n_dof)
-        if e_dt is not None:
-            errs_dt.append(e_dt)
-            errs_g.append(e_g)
-            params.append(cells[_EOC_PARAM[spec.kind]] if spec.kind in _EOC_PARAM else None)
+        n_dof, sol, rep = entry
+        rows.append(result_row(cfg, sol, rep, cfg.case if baseline is None else baseline))
+        n_dofs.append(n_dof)
 
     _fill_eoc(spec, rows)
-    summary = _summary(spec, rows, failures, n_dofs, errs_dt, errs_g, params, err_times)
-    return StudyResult(spec, rows, failures, n_dofs, summary)
+    return StudyResult(spec, rows, failures, n_dofs, _summary(spec, rows, failures, n_dofs))
 
 
 def config_cells(cfg: ProblemConfig) -> dict:
@@ -192,15 +172,31 @@ def config_cells(cfg: ProblemConfig) -> dict:
             "delta": cfg.case.delta, "k": cfg.case.k, "c": cfg.case.c}
 
 
+def result_row(cfg: ProblemConfig, sol, rep, ref) -> dict:
+    """The cells of one solve, for the CSV and the study summary.
+
+    `ref` is the case, or a discrete solution on the same discretization
+    (the delta study's inviscid baseline).  A case without a closed-form
+    solution gets empty error cells.  `runtime_err_s`, the seconds spent in
+    err_linf_l2, is not a CSV column; runtime_s times only the solve.
+    """
+    t_err = time.perf_counter()
+    if not isinstance(ref, DiscreteSolution) and ref.u is None:
+        e_dt = e_g = None
+    else:
+        e_dt = err_linf_l2(sol, ref, "dt")
+        e_g = err_linf_l2(sol, ref, "grad")
+    runtime_err = round(time.perf_counter() - t_err, 6)
+    return {**config_cells(cfg), "err_dt": e_dt, "err_grad": e_g,
+            "eoc_dt": None, "eoc_grad": None,
+            "iters_mean": round(rep.iters_mean, 3), "iters_max": rep.iters_max,
+            "runtime_s": round(rep.runtime_s, 4), "runtime_err_s": runtime_err}
+
+
 def _fill_eoc(spec: StudySpec, rows: list):
     key = _EOC_PARAM.get(spec.kind)
-    for row in rows:
-        row.setdefault("eoc_dt", None)
-        row.setdefault("eoc_grad", None)
-    if key is None:
-        return
     usable = [r for r in rows if r["err_dt"] is not None]
-    if len(usable) < 2:
+    if key is None or len(usable) < 2:
         return
     param = [r[key] for r in usable]
     for col, err_col in (("eoc_dt", "err_dt"), ("eoc_grad", "err_grad")):
@@ -209,18 +205,20 @@ def _fill_eoc(spec: StudySpec, rows: list):
             row[col] = round(float(v), 4)
 
 
-def _summary(spec, rows, failures, n_dofs, errs_dt, errs_g, params, err_times) -> dict:
+def _summary(spec, rows, failures, n_dofs) -> dict:
+    scored = [r for r in rows if r["err_dt"] is not None]
+    errs_dt = [r["err_dt"] for r in scored]
+    errs_g = [r["err_grad"] for r in scored]
     out = {"name": spec.name, "kind": spec.kind, "case": spec.case,
            "sweep": list(spec.sweep), "fixed": spec.fixed,
            "case_overrides": spec.case_overrides,
            "n_dofs": n_dofs, "rows": len(rows), "failures": failures,
            "err_dt": errs_dt, "err_grad": errs_g,
-           # seconds in err_linf_l2 per row; runtime_s times only the solve
-           "runtime_err_s": err_times}
-    if spec.kind in _EOC_PARAM and len(errs_dt) >= 2:
-        out["eoc_dt"] = [round(float(v), 4) for v in eoc(errs_dt, params)]
-        out["eoc_grad"] = [round(float(v), 4) for v in eoc(errs_g, params)]
-    if spec.kind == "pq" and len(errs_dt) >= 2:
+           "runtime_err_s": [r["runtime_err_s"] for r in rows]}
+    if spec.kind in _EOC_PARAM and len(scored) >= 2:
+        out["eoc_dt"] = [r["eoc_dt"] for r in scored[1:]]
+        out["eoc_grad"] = [r["eoc_grad"] for r in scored[1:]]
+    if spec.kind == "pq" and len(scored) >= 2:
         # exponential regime: log err ~ a - b N^(1/3)
         x = np.asarray(n_dofs, dtype=float) ** (1.0 / 3.0)
         out["exp_fit_b_dt"] = round(float(-np.polyfit(x, np.log(errs_dt), 1)[0]), 4)
@@ -264,24 +262,15 @@ def write_plot(result: StudyResult, path: Path):
     if len(rows) < 2:
         return
     if spec.kind == "pq":
-        x = [nd ** (1.0 / 3.0) for nd in result.n_dofs]
-        series = [("err_dt", x, [r["err_dt"] for r in rows]),
-                  ("err_grad", x, [r["err_grad"] for r in rows])]
-        plot_semilogy(path, series, xlabel="N_dofs^(1/3)", title=spec.name)
-        return
-    key = _EOC_PARAM.get(spec.kind, "h")
-    x = [r[key] for r in rows]
-    series = [("err_dt", x, [r["err_dt"] for r in rows]),
-              ("err_grad", x, [r["err_grad"] for r in rows])]
-    if spec.kind == "h":
-        guides = [rows[0]["p"], rows[0]["p"] + 1]
-    elif spec.kind == "tau":
-        guides = [rows[0]["q"], rows[0]["q"] + 1]
-    elif spec.kind == "delta":
-        guides = [1]
+        xlabel, x = "N_dofs^(1/3)", [nd ** (1.0 / 3.0) for nd in result.n_dofs]
     else:
-        guides = []
-    plot_loglog(path, series, guides=guides, xlabel=key, title=spec.name)
+        xlabel = _EOC_PARAM.get(spec.kind, "h")
+        x = [r[xlabel] for r in rows]
+    series = [(col, x, [r[col] for r in rows]) for col in ("err_dt", "err_grad")]
+    p, q = rows[0]["p"], rows[0]["q"]
+    guides = {"h": [p, p + 1], "tau": [q, q + 1], "delta": [1]}.get(spec.kind, [])
+    svgplot.plot(path, series, xlog=spec.kind != "pq", guides=guides, xlabel=xlabel,
+                 title=spec.name)
 
 
 def write_study_outputs(result: StudyResult, out_dir: Path, plot: bool = False) -> dict:

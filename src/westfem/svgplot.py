@@ -1,4 +1,5 @@
-"""Minimal self-contained SVG charts for convergence plots.
+"""Minimal self-contained SVG charts for convergence plots: errors on a log
+y axis against a log or a linear x axis.
 
 Log-log plots carry dashed reference lines of prescribed slope so the
 observed order can be read off against the expected one.  No plotting
@@ -80,24 +81,35 @@ def _series_and_legend(out: list, series, ax, ay):
         out.append(f'<text x="{W - MR - 90}" y="{ly + 4}">{label}</text>')
 
 
-def plot_loglog(path, series, guides=(), xlabel="h", ylabel="error", title=""):
-    """series: list of (label, xs, ys); guides: reference slopes."""
+def plot(path, series, xlog, guides=(), xlabel="", ylabel="error", title=""):
+    """series: list of (label, xs, ys) on a log y axis; x is log when xlog,
+    linear otherwise.  guides: reference slopes, meaningful on log-log axes."""
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys if y > 0]
     if not ys_all:
         return
-    ax = _Axis(min(xs_all), max(xs_all), ML, W - MR, log=True)
+    ax = _Axis(min(xs_all), max(xs_all), ML, W - MR, log=xlog)
     ay = _Axis(min(ys_all), max(ys_all), H - MB, MT, log=True)
 
     out = _svg_header(title)
     _y_ticks(out, ay, ys_all)
-    for e in _decades(min(xs_all), max(xs_all)):
-        x = ax(10.0 ** e)
-        if ML - 1 <= x <= W - MR + 1:
-            out.append(f'<line x1="{x:.1f}" y1="{MT}" x2="{x:.1f}" y2="{H - MB}" '
-                       f'stroke="#dddddd"/>')
-            out.append(f'<text x="{x:.1f}" y="{H - MB + 16}" text-anchor="middle">'
-                       f'{_fmt_tick(e)}</text>')
+    if xlog:
+        for e in _decades(min(xs_all), max(xs_all)):
+            x = ax(10.0 ** e)
+            if ML - 1 <= x <= W - MR + 1:
+                out.append(f'<line x1="{x:.1f}" y1="{MT}" x2="{x:.1f}" y2="{H - MB}" '
+                           f'stroke="#dddddd"/>')
+                out.append(f'<text x="{x:.1f}" y="{H - MB + 16}" text-anchor="middle">'
+                           f'{_fmt_tick(e)}</text>')
+    else:
+        n_tick = 6
+        for i in range(n_tick + 1):
+            v = min(xs_all) + (max(xs_all) - min(xs_all)) * i / n_tick
+            x = ax(v)
+            out.append(f'<line x1="{x:.1f}" y1="{H - MB}" x2="{x:.1f}" '
+                       f'y2="{H - MB + 5}" stroke="black"/>')
+            out.append(f'<text x="{x:.1f}" y="{H - MB + 18}" text-anchor="middle">'
+                       f'{v:.3g}</text>')
     _axes_frame(out, xlabel, ylabel)
 
     # guide of slope m through a point slightly below the first series
@@ -113,30 +125,6 @@ def plot_loglog(path, series, guides=(), xlabel="h", ylabel="error", title=""):
             out.append(f'<text x="{ax(xb) + 4:.1f}" y="{ay(yb) + 4:.1f}" '
                        f'fill="#555555">slope {m}</text>')
 
-    _series_and_legend(out, series, ax, ay)
-    out.append("</svg>")
-    _write(path, out)
-
-
-def plot_semilogy(path, series, xlabel="x", ylabel="error", title=""):
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys if y > 0]
-    if not ys_all:
-        return
-    ax = _Axis(min(xs_all), max(xs_all), ML, W - MR, log=False)
-    ay = _Axis(min(ys_all), max(ys_all), H - MB, MT, log=True)
-
-    out = _svg_header(title)
-    _y_ticks(out, ay, ys_all)
-    n_tick = 6
-    for i in range(n_tick + 1):
-        v = min(xs_all) + (max(xs_all) - min(xs_all)) * i / n_tick
-        x = ax(v)
-        out.append(f'<line x1="{x:.1f}" y1="{H - MB}" x2="{x:.1f}" '
-                   f'y2="{H - MB + 5}" stroke="black"/>')
-        out.append(f'<text x="{x:.1f}" y="{H - MB + 18}" text-anchor="middle">'
-                   f'{v:.3g}</text>')
-    _axes_frame(out, xlabel, ylabel)
     _series_and_legend(out, series, ax, ay)
     out.append("</svg>")
     _write(path, out)

@@ -55,10 +55,6 @@ class TimePartition:
     def T(self) -> float:
         return float(self.breakpoints[-1])
 
-    @property
-    def tau_max(self) -> float:
-        return float(self.taus.max())
-
     def locate(self, t: float, side: str = "right") -> tuple[int, float]:
         """Slab index and local coordinate s in [0,1] containing t, clamped to
         [0, T]; at an interior breakpoint side="left" picks the slab ending

@@ -33,6 +33,18 @@ def test_run_writes_csv(run_config, tmp_path, capsys):
     assert "err_dt" in capsys.readouterr().out
 
 
+def test_run_row_matches_one_entry_h_study(run_config, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["run", run_config, "--out", str(out)]) == 0
+    spec = write_json(tmp_path / "s.json",
+                      {"kind": "h", "case": "smooth", "sweep": [3],
+                       "fixed": {"p": 1, "q": 2, "tau": 0.25}, "name": "one"})
+    assert cli.main(["study", spec, "--out", str(out)]) == 0
+    drop = CSV_COLUMNS.index("runtime_s")
+    strip = lambda path: [r[:drop] + r[drop + 1:] for r in csv.reader(open(path))]
+    assert strip(out / "demo.csv") == strip(out / "one.csv")
+
+
 def test_run_snapshots(tmp_path):
     cfg = write_json(tmp_path / "r.json",
                      {"case": "smooth", "n": 3, "p": 1, "q": 2, "tau": 0.5,
@@ -81,8 +93,11 @@ def test_bad_config_exits_1(tmp_path, capsys, tau):
 
 @pytest.mark.parametrize("snapshot", [{"snapshot_grid": 1},
                                       {"snapshot_grid": "fine"},
-                                      {"snapshot_times": ["start", 0.5]}],
-                         ids=["grid-below-2", "grid-not-a-number", "times-not-numbers"])
+                                      {"snapshot_times": ["start", 0.5]},
+                                      {"snapshot_times": [-0.1, 0.5]},
+                                      {"snapshot_times": [0.5, 2.0]}],
+                         ids=["grid-below-2", "grid-not-a-number", "times-not-numbers",
+                              "time-below-0", "time-above-T"])
 def test_bad_snapshot_options_exit_1_before_solving(tmp_path, monkeypatch, capsys, snapshot):
     def no_solve(cfg):
         raise AssertionError("solved before validating the snapshot options")
@@ -132,7 +147,13 @@ def test_study_failure_exits_2(tmp_path):
     {"kind": "h", "case": "smooth", "sweep": [2], "fixed": {"p": 1, "q": 2, "tau": 0}},
     {"kind": "h", "case": "smooth", "sweep": [2],
      "fixed": {"p": 1, "q": 2, "tau": 0.25, "order": 3}},
-], ids=["missing-sweep", "fixed-tau-zero", "fixed-unknown-key"])
+    {"kind": "h", "case": "smooth", "sweep": [2, 2.5], "fixed": {"p": 1, "q": 2, "tau": 0.25}},
+    {"kind": "delta", "case": "smooth", "sweep": [0.0, 1e-2],
+     "fixed": {"n": 2, "p": 1, "q": 2, "tau": 0.25}},
+    {"kind": "delta", "case": "smooth", "sweep": [-1e-2, 1e-2],
+     "fixed": {"n": 2, "p": 1, "q": 2, "tau": 0.25}},
+], ids=["missing-sweep", "fixed-tau-zero", "fixed-unknown-key", "sweep-not-whole",
+        "delta-zero", "delta-negative"])
 def test_bad_study_spec_exits_1(tmp_path, capsys, spec):
     path = write_json(tmp_path / "s.json", spec)
     assert cli.main(["study", path, "--out", str(tmp_path / "r")]) == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from westfem.mesh import edge_table, mesh_size, refine, unit_square_mesh
+from westfem.mesh import edge_table, mesh_size, unit_square_mesh
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -40,14 +40,6 @@ def test_boundary_flags(n):
 def test_mesh_size():
     for n in (1, 2, 5, 10):
         assert abs(mesh_size(unit_square_mesh(n)) - np.sqrt(2.0) / n) < 1e-14
-
-
-def test_refine_quadruples_triangles():
-    mesh = unit_square_mesh(3)
-    fine = refine(mesh)
-    assert fine.n == 6
-    assert fine.n_triangles == 4 * mesh.n_triangles
-    assert abs(mesh_size(fine) - 0.5 * mesh_size(mesh)) < 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 4])

@@ -9,7 +9,7 @@ import pytest
 
 import westfem.spacefe as spacefe
 from westfem.mesh import unit_square_mesh
-from westfem.spacefe import (FESpace, discrete_laplacian, evaluate, interpolate,
+from westfem.spacefe import (FESpace, evaluate, interpolate,
                              ritz_project, ritz_project_fd)
 
 
@@ -132,19 +132,6 @@ def test_ritz_fd_matches_exact_gradient_variant():
                 np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
 
     assert np.max(np.abs(ritz_project(space, grad) - ritz_project_fd(space, g))) < 1e-7
-
-
-def test_discrete_laplacian_of_eigenfunction():
-    # -Delta sin(pi x) sin(pi y) = 2 pi^2 sin(pi x) sin(pi y); h-refinement converges
-    errs = []
-    for n in (4, 8, 16):
-        space = make_space(n, 2)
-        g = interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-        lap = discrete_laplacian(space, g)
-        d = lap + 2 * np.pi ** 2 * g
-        errs.append(np.sqrt(d @ (space.mass @ d)))
-    assert errs[0] > errs[1] > errs[2]
-    assert errs[1] / errs[0] < 0.45 and errs[2] / errs[1] < 0.45
 
 
 def test_boundary_rows_fixed():

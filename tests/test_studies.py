@@ -2,6 +2,7 @@
 
 import csv
 import time
+import xml.etree.ElementTree as ET
 from collections import Counter
 
 import numpy as np
@@ -32,6 +33,21 @@ class TestSpecValidation:
     def test_non_monotone_sweep(self):
         with pytest.raises(ValueError, match="monotone"):
             h_spec(sweep=[2, 8, 4])
+
+    @pytest.mark.parametrize("kind,fixed", [("h", {"p": 1, "q": 2, "tau": 0.25}),
+                                            ("cfl", {"p": 1, "q": 2, "tau": 0.25}),
+                                            ("pq", {"n": 2, "tau": 0.25})])
+    def test_fractional_sweep_rejected(self, kind, fixed):
+        # int() would run n (or p = q) = 2 twice
+        with pytest.raises(ValueError, match="whole numbers"):
+            StudySpec(kind=kind, case="smooth", sweep=[2, 2.5], fixed=fixed)
+
+    @pytest.mark.parametrize("sweep", [[0.0, 1e-2], [-1e-2, 1e-2]])
+    def test_non_positive_delta_rejected(self, sweep):
+        # delta = 0 is the baseline itself; delta < 0 is outside the model
+        with pytest.raises(ValueError, match="positive"):
+            StudySpec(kind="delta", case="smooth", sweep=sweep,
+                      fixed={"n": 2, "p": 1, "q": 2, "tau": 0.25})
 
     def test_missing_fixed_parameter(self):
         with pytest.raises(ValueError, match="missing fixed parameters"):
@@ -99,6 +115,11 @@ def test_summary_contents(h_result):
     assert s["kind"] == "h" and s["rows"] == 3
     assert s["n_dofs"] == [9, 25, 81]
     assert len(s["eoc_dt"]) == 2
+    rows = h_result.rows
+    for key in ("err_dt", "err_grad", "runtime_err_s"):
+        assert s[key] == [r[key] for r in rows]
+    for key in ("eoc_dt", "eoc_grad"):
+        assert s[key] == [r[key] for r in rows[1:]]
 
 
 def test_csv_schema_and_reproducibility(h_result, tmp_path):
@@ -121,16 +142,19 @@ def test_threaded_execution_matches_serial(h_result):
         assert a["err_grad"] == b["err_grad"]
 
 
-def test_delta_study_differences_against_inviscid_baseline():
-    spec = StudySpec(kind="delta", case="standing-wave",
-                     sweep=[1e-2, 1e-3],
-                     fixed={"n": 3, "p": 1, "q": 2, "tau": 0.25})
-    result = run_study(spec)
-    assert not result.failures
-    errs = result.summary["err_dt"]
+@pytest.fixture(scope="module")
+def delta_result():
+    return run_study(StudySpec(kind="delta", case="standing-wave",
+                               sweep=[1e-2, 1e-3],
+                               fixed={"n": 3, "p": 1, "q": 2, "tau": 0.25}))
+
+
+def test_delta_study_differences_against_inviscid_baseline(delta_result):
+    assert not delta_result.failures
+    errs = delta_result.summary["err_dt"]
     assert errs[1] < errs[0]
     # near-linear vanishing-viscosity rate even at this desk scale
-    assert abs(result.summary["eoc_dt"][0] - 1.0) < 0.25
+    assert abs(delta_result.summary["eoc_dt"][0] - 1.0) < 0.25
 
 
 def test_cfl_study_reports_finiteness():
@@ -165,6 +189,35 @@ def test_output_files(h_result, tmp_path):
         assert key in paths
     svg = open(paths["svg"]).read()
     assert svg.startswith("<svg") and "slope" in svg
+
+
+def _svg_texts(path):
+    root = ET.parse(path).getroot()
+    return [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+
+
+def test_pq_and_delta_plots(delta_result, tmp_path):
+    pq = run_study(StudySpec(kind="pq", case="smooth", sweep=[2, 3],
+                             fixed={"n": 2, "tau": 0.25}))
+    texts = _svg_texts(write_study_outputs(pq, tmp_path, plot=True)["svg"])
+    assert "N_dofs^(1/3)" in texts
+    assert not any(t.startswith("slope") for t in texts)
+    texts = _svg_texts(write_study_outputs(delta_result, tmp_path, plot=True)["svg"])
+    assert "delta" in texts and "slope 1" in texts
+
+
+def test_data_only_study_leaves_error_cells_empty(tmp_path):
+    spec = StudySpec(kind="h", case="gaussian-pulse", sweep=[2, 3],
+                     fixed={"p": 1, "q": 2, "tau": 1e-5}, case_overrides={"T": 2e-5})
+    result = run_study(spec)
+    assert len(result.rows) == 2 and not result.failures
+    write_csv(result.rows, tmp_path / "pulse.csv")
+    for row in csv.DictReader(open(tmp_path / "pulse.csv")):
+        assert [row[c] for c in ("err_dt", "err_grad", "eoc_dt", "eoc_grad")] == [""] * 4
+        assert float(row["iters_mean"]) > 0
+    s = result.summary
+    assert s["err_dt"] == [] and s["err_grad"] == []
+    assert "eoc_dt" not in s and "eoc_grad" not in s
 
 
 def test_summary_times_error_functionals(h_result):

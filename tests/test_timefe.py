@@ -13,7 +13,7 @@ def test_uniform_partition():
     assert part.n_slabs == 4
     assert np.allclose(part.breakpoints, [0, 0.25, 0.5, 0.75, 1.0], atol=1e-15)
     assert np.all(part.taus == 0.25)
-    assert part.T == 1.0 and part.tau_max == 0.25
+    assert part.T == 1.0
 
 
 def test_uniform_partition_rejects_non_divisor():
