@@ -9,7 +9,7 @@ from .solution import DiscreteSolution
 from .timefe import gauss_interval, shifted_legendre_table
 
 
-def _sample_s(q: int, samples_per_slab: int | None) -> np.ndarray:
+def _sample_s(q: int, samples_per_slab: int | None = None) -> np.ndarray:
     m = 2 * q + 3 if samples_per_slab is None else samples_per_slab
     if m < 2:
         raise ValueError(f"need at least two samples per slab, got {m}")
@@ -81,8 +81,7 @@ def jump_functional(sol: DiscreteSolution) -> float:
     return float(np.sqrt(0.5 * total))
 
 
-def energy_norm(sol: DiscreteSolution, c: float = 1.0, delta: float = 0.0,
-                samples_per_slab: int | None = None) -> float:
+def energy_norm(sol: DiscreteSolution, c: float = 1.0, delta: float = 0.0) -> float:
     """delta-weighted energy norm:
 
         ||dtu||^2_{LinfL2} + c^2 ||grad u||^2_{LinfL2} + |dtu|_J^2
@@ -94,7 +93,7 @@ def energy_norm(sol: DiscreteSolution, c: float = 1.0, delta: float = 0.0,
     space = sol.space
     mm, kk = space.mass, space.stiffness
     c2 = c * c
-    svec = _sample_s(sol.q, samples_per_slab)
+    svec = _sample_s(sol.q)
 
     linf_dt = 0.0
     linf_grad = 0.0

@@ -57,10 +57,11 @@ def _cmd_run(args) -> int:
         cfg = ProblemConfig.from_dict(cfg_dict)
         m = None if snap_grid is None else int(snap_grid)
         times = None if snap_times is None else np.asarray(snap_times, dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad run configuration: {exc}") from exc
-    if m is not None and m < 2:
-        raise UsageError("snapshot_grid must be at least 2")
+    if m is not None and (m != snap_grid or m < 2):
+        raise UsageError(f"snapshot_grid must be a whole number of at least 2, "
+                         f"got {snap_grid!r}")
     if times is not None and times.ndim != 1:
         raise UsageError("snapshot_times must be a list of times")
     if times is not None and not np.all((times >= 0) & (times <= cfg.case.T)):

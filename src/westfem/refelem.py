@@ -194,7 +194,6 @@ class ReferenceElement:
         else:
             xi, eta = _warp_blend(p, lat[:, 0] / p, lat[:, 1] / p)
         self.nodes = np.column_stack([xi, eta])
-        self.lattice = lat
         # dof grouping: [0:3] vertices, then (p-1) per edge, rest interior
         self.n_interior = self.n_nodes - 3 - 3 * (p - 1)
 

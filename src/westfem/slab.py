@@ -54,18 +54,20 @@ class SlabState:
 
 
 class SlabWorkspace:
-    """Spatial quadrature data and the temporal trial basis shared by RHS
-    assembly, residuals, and the guard."""
+    """The problem (a cases.ManufacturedCase: c, k, delta, f), its spatial
+    quadrature data and the temporal trial basis, shared by RHS assembly,
+    residuals, and the guard."""
 
-    def __init__(self, space: FESpace, q: int):
+    def __init__(self, space: FESpace, q: int, case):
         self.space = space
+        self.case = case
         self.basis = trial_basis(q)
         self.ed_lin = space.ed_lin
         self.ed_nl = space.ed_nl
 
-    def f_time_loads(self, f, t_start: float, tau: float) -> np.ndarray:
+    def f_time_loads(self, t_start: float, tau: float) -> np.ndarray:
         """Spatial loads of f at the slab's temporal Gauss nodes; (2q, n_dof)."""
-        ed = self.ed_lin
+        ed, f = self.ed_lin, self.case.f
         vals = np.stack([ed.sample(f, t_start + tau * gk) for gk in self.basis.nodes])
         return ed.assemble_pointwise_load_multi(vals)
 
@@ -75,9 +77,9 @@ class SlabWorkspace:
 
 
 def assemble_slab_rhs(ws: SlabWorkspace, state: SlabState, tau: float,
-                      c: float, f_loads: np.ndarray) -> np.ndarray:
+                      f_loads: np.ndarray) -> np.ndarray:
     """Fixed part of the slab right-hand side (no lagged terms); (q, n_free)."""
-    space = ws.space
+    space, c = ws.space, ws.case.c
     rhs = ws.time_integrate(f_loads, tau)[:, space.free_dofs]
     rhs += np.outer(ws.basis.test_start, state.trace_load[space.free_dofs])
     rhs[0] -= c * c * tau * (space.stiffness @ state.u_start)[space.free_dofs]
@@ -97,15 +99,14 @@ def slab_fields(ws: SlabWorkspace, state: SlabState, tau: float, modal: np.ndarr
     return uq, dtq, dttq, uprev_q, dtu0_q
 
 
-def lagged_rhs(ws: SlabWorkspace, state: SlabState, tau: float, k: float,
-               modal: np.ndarray):
+def lagged_rhs(ws: SlabWorkspace, state: SlabState, tau: float, modal: np.ndarray):
     """Lagged nonlinear terms -k (dt(u dtu), w) - k (u(t-) dtu(t+), w(t+))
     for the current iterate given in full modal form (q+1, n_dof).
 
     Returns (rhs_contribution (q, n_free), coeff_min) where coeff_min is the
     minimum of 1 + k u over the slab's space-time quadrature grid.
     """
-    ed, free = ws.ed_nl, ws.space.free_dofs
+    ed, free, k = ws.ed_nl, ws.space.free_dofs, ws.case.k
     uq, dtq, dttq, uprev_q, dtu0_q = slab_fields(ws, state, tau, modal)
     coeff_min = float((1.0 + k * uq).min())
     # dt(u dtu) = (dtu)^2 + u dttu, exact for the polynomial integrand
@@ -117,13 +118,13 @@ def lagged_rhs(ws: SlabWorkspace, state: SlabState, tau: float, k: float,
 
 
 def nonlinear_residual(ws: SlabWorkspace, state: SlabState, tau: float,
-                       c: float, delta: float, k: float,
                        modal: np.ndarray, f_loads: np.ndarray) -> np.ndarray:
     """Residual of the full nonlinear slab system at a slab polynomial given
     in modal form; assembled through the expanded identity
     dt((1+k u) dtu) = (1+k u) dttu + k (dtu)^2 rather than the lagged split.
     Returns (q, n_free)."""
     b, ed, free = ws.basis, ws.ed_nl, ws.space.free_dofs
+    c, k, delta = ws.case.c, ws.case.k, ws.case.delta
     uq, dtq, dttq, uprev_q, dtu0_q = slab_fields(ws, state, tau, modal)
     loads = ed.assemble_pointwise_load_multi((1.0 + k * uq) * dttq + k * dtq * dtq)
     res = ws.time_integrate(loads, tau)[:, free]

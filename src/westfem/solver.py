@@ -21,23 +21,26 @@ from . import slab
 from .slab import (SlabState, SlabWorkspace, assemble_slab_rhs, coupling_blocks,
                    lagged_rhs, nonlinear_residual)
 from .solution import DiscreteSolution
-from .spacefe import FESpace, ritz_project, ritz_project_fd
+from .spacefe import FESpace, ritz_project
 from .timefe import TimePartition
 
-S_MAX_DEFAULT = 15
-TOL_DEFAULT = 1e-12
-GUARD_DEFAULT = 0.1
+# the fixed-point policy: at most S_MAX iterations per slab until the
+# relative L2(Q_n) increment is at most TOL, and 1 + k u must stay above GUARD
+S_MAX = 15
+TOL = 1e-12
+GUARD = 0.1
 
 
 class Factorization:
     """Sparse LU of the constant-coefficient slab operator, built once per
     slab length and shared by all slabs of that length on a fixed space."""
 
-    def __init__(self, space: FESpace, q: int, tau: float, c: float, delta: float):
-        self.tau, self.c, self.delta = tau, c, delta
+    def __init__(self, ws: SlabWorkspace, tau: float):
+        self.tau = tau
         # the LHS is built through the module binding, which the benchmark's
         # trace wraps (bench/westbench/layers.py)
-        self._lu = splu(slab.assemble_slab_lhs(space, *coupling_blocks(q, tau, c, delta)))
+        self._lu = splu(slab.assemble_slab_lhs(ws.space, *coupling_blocks(
+            ws.basis.q, tau, ws.case.c, ws.case.delta)))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._lu.solve(rhs)
@@ -65,13 +68,11 @@ class SolverReport:
 
     @property
     def iters_mean(self) -> float:
-        it = self.iterations
-        return float(np.mean(it)) if it else 0.0
+        return float(np.mean(self.iterations)) if self.slabs else 0.0
 
     @property
     def iters_max(self) -> int:
-        it = self.iterations
-        return int(np.max(it)) if it else 0
+        return int(np.max(self.iterations)) if self.slabs else 0
 
 
 def _qn_norm(space, tau, modal):
@@ -82,20 +83,18 @@ def _qn_norm(space, tau, modal):
 
 
 def solve_slab_fixed_point(fact: Factorization, ws: SlabWorkspace, state: SlabState,
-                           f_loads: np.ndarray, k: float,
-                           s_max: int = S_MAX_DEFAULT, tol: float = TOL_DEFAULT,
-                           guard: float = GUARD_DEFAULT,
+                           f_loads: np.ndarray,
                            check_residual: bool = False) -> tuple[np.ndarray, SlabSolveInfo]:
     """Solve one slab; returns (modes (q, n_dof), info).
 
-    Raises DegenerateCoefficient if 1 + k u drops to `guard` or below on the
+    Raises DegenerateCoefficient if 1 + k u drops to GUARD or below on the
     slab's space-time quadrature grid, SolverFailure if the increment is
-    still above `tol` (relative L2(Q_n)) after `s_max` iterations.
+    still above TOL (relative L2(Q_n)) after S_MAX iterations.
     """
     space, q, tau = ws.space, ws.basis.q, fact.tau
     free = space.free_dofs
 
-    rhs_const = assemble_slab_rhs(ws, state, tau, fact.c, f_loads)
+    rhs_const = assemble_slab_rhs(ws, state, tau, f_loads)
 
     def embed(x):
         modes = np.zeros((q, space.n_dof))
@@ -106,12 +105,12 @@ def solve_slab_fixed_point(fact: Factorization, ws: SlabWorkspace, state: SlabSt
     modal = ws.basis.to_modal(state.u_start, modes)
     info = SlabSolveInfo(slab=state.n, iterations=0, increment=np.inf, coeff_min=np.inf)
 
-    for it in range(1, s_max + 1):
-        lag, coeff_min = lagged_rhs(ws, state, tau, k, modal)
+    for it in range(1, S_MAX + 1):
+        lag, coeff_min = lagged_rhs(ws, state, tau, modal)
         info.coeff_min = min(info.coeff_min, coeff_min)
-        if coeff_min <= guard:
+        if coeff_min <= GUARD:
             raise DegenerateCoefficient(
-                f"coefficient 1 + k u reached {coeff_min:.3g} <= {guard} on slab {state.n}",
+                f"coefficient 1 + k u reached {coeff_min:.3g} <= {GUARD} on slab {state.n}",
                 slab=state.n, coeff_min=coeff_min)
         new_modes = embed(fact.solve((rhs_const + lag).ravel()))
         new_modal = ws.basis.to_modal(state.u_start, new_modes)
@@ -120,53 +119,45 @@ def solve_slab_fixed_point(fact: Factorization, ws: SlabWorkspace, state: SlabSt
         modes, modal = new_modes, new_modal
         info.iterations = it
         info.increment = num / den if den > 0 else num
-        if num <= tol * den or num == 0.0:
+        if num <= TOL * den or num == 0.0:
             break
     else:
         raise SolverFailure(
             f"fixed-point iteration did not converge on slab {state.n} "
-            f"(relative increment {info.increment:.3e} after {s_max} iterations)",
+            f"(relative increment {info.increment:.3e} after {S_MAX} iterations)",
             slab=state.n, increment=info.increment)
 
     if check_residual:
-        res = nonlinear_residual(ws, state, tau, fact.c, fact.delta, k,
-                                 modal, f_loads)
+        res = nonlinear_residual(ws, state, tau, modal, f_loads)
         scale = max(np.abs(rhs_const).max(), 1e-300)
         info.residual = float(np.abs(res).max() / scale)
     return modes, info
 
 
-def solve_westervelt(space: FESpace, partition: TimePartition, q: int, *,
-                     c: float, k: float, delta: float, f,
-                     u0=None, u0_grad=None, u1=None,
-                     s_max: int = S_MAX_DEFAULT, tol: float = TOL_DEFAULT,
-                     guard: float = GUARD_DEFAULT,
+def solve_westervelt(space: FESpace, partition: TimePartition, q: int, case,
                      check_residual: bool = False) -> tuple[DiscreteSolution, SolverReport]:
-    """March the DG-CG scheme over all slabs.
+    """March the DG-CG scheme for `case` (a cases.ManufacturedCase) over all
+    slabs of `partition`.
 
-    Initial data: u(0) is the Ritz projection of u0 (needing u0_grad; a
-    finite-difference fallback is used when only u0 is given), and u1 enters
-    weakly through ((1+k u0) u1, w(0)).  Zero data may be passed as None.
+    Initial data: u(0) is the Ritz projection of case.u0 through its
+    gradient case.u0_grad, and case.u1 enters weakly through
+    ((1+k u0) u1, w(0)).  Zero data is None.
     """
     if q < 2:
         raise ValueError(f"the scheme needs temporal degree q >= 2, got {q}")
     t_start = time.perf_counter()
-    ws = SlabWorkspace(space, q)
+    ws = SlabWorkspace(space, q, case)
+    k = case.k
 
-    if u0_grad is not None:
-        ustart = ritz_project(space, u0_grad)
-    elif u0 is not None:
-        ustart = ritz_project_fd(space, u0)
-    else:
-        ustart = np.zeros(space.n_dof)
+    ustart = (np.zeros(space.n_dof) if case.u0_grad is None
+              else ritz_project(space, case.u0_grad))
 
     # weak initial-velocity load ((1+k u0) u1, phi) from the exact data
     ed = ws.ed_lin
-    if u1 is not None:
-        u0v = ed.sample(u0) if u0 is not None else 0.0
-        trace_load = ed.assemble_pointwise_load((1.0 + k * u0v) * ed.sample(u1))
-    else:
-        trace_load = np.zeros(space.n_dof)
+    trace_load = np.zeros(space.n_dof)
+    if case.u1 is not None:
+        u0v = ed.sample(case.u0) if case.u0 is not None else 0.0
+        trace_load = ed.assemble_pointwise_load((1.0 + k * u0v) * ed.sample(case.u1))
 
     report = SolverReport()
     factors: dict[float, Factorization] = {}
@@ -179,13 +170,12 @@ def solve_westervelt(space: FESpace, partition: TimePartition, q: int, *,
         if tau in factors:
             report.factorization_reuses += 1
         else:
-            factors[tau] = Factorization(space, q, tau, c, delta)
+            factors[tau] = Factorization(ws, tau)
             report.n_factorizations += 1
 
-        f_loads = ws.f_time_loads(f, float(partition.breakpoints[n - 1]), tau)
-        modes, info = solve_slab_fixed_point(
-            factors[tau], ws, state, f_loads, k, s_max=s_max, tol=tol, guard=guard,
-            check_residual=check_residual)
+        f_loads = ws.f_time_loads(float(partition.breakpoints[n - 1]), tau)
+        modes, info = solve_slab_fixed_point(factors[tau], ws, state, f_loads,
+                                             check_residual=check_residual)
         report.slabs.append(info)
         all_modes[n - 1] = modes
 

@@ -79,8 +79,7 @@ class FESpace:
                    | ((iy[u] == iy[v]) & ((iy[u] == 0) | (iy[u] == n))))
         side_dofs = edge_base + np.flatnonzero(on_side)[:, None] * (p - 1) + np.arange(p - 1)
         is_dirichlet[side_dofs.ravel()] = True
-        self.is_free = ~is_dirichlet
-        self.free_dofs = np.flatnonzero(self.is_free)
+        self.free_dofs = np.flatnonzero(~is_dirichlet)
         self.n_free = self.free_dofs.size
 
     # -- cached operators ----------------------------------------------
@@ -174,7 +173,7 @@ class ElementData:
     def __init__(self, space: FESpace, degree: int):
         mesh, ref = space.mesh, space.ref
         pts, w = triangle_quadrature(degree)
-        self.qpts, self.w = pts, w
+        self.w = w
         self.vals = ref.eval_basis(pts)                  # (nq, nl)
         self.grads_ref = ref.eval_basis_grad(pts)        # (nq, nl, 2)
         self.grads_lqd = np.ascontiguousarray(self.grads_ref.transpose(1, 0, 2))
@@ -296,17 +295,6 @@ def ritz_project(space: FESpace, grad_g) -> np.ndarray:
     out = np.zeros(space.n_dof)
     out[space.free_dofs] = space.solve_stiffness(rhs[space.free_dofs])
     return out
-
-
-def ritz_project_fd(space: FESpace, g) -> np.ndarray:
-    """Ritz projection with a central-difference gradient of g (diagnostic path
-    for data supplied without a closed-form gradient)."""
-    step = 1e-6
-
-    def grad(x, y):
-        return ((g(x + step, y) - g(x - step, y)) / (2 * step),
-                (g(x, y + step) - g(x, y - step)) / (2 * step))
-    return ritz_project(space, grad)
 
 
 def evaluate(space: FESpace, coeffs: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

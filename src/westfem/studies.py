@@ -224,8 +224,10 @@ def _summary(spec, rows, failures, n_dofs) -> dict:
         out["exp_fit_b_dt"] = round(float(-np.polyfit(x, np.log(errs_dt), 1)[0]), 4)
         out["exp_fit_b_grad"] = round(float(-np.polyfit(x, np.log(errs_g), 1)[0]), 4)
     if spec.kind == "cfl":
+        # a non-finite solve ends in a SolverFailure; the errors that exist
+        # must be finite too
         out["all_finite"] = bool(rows) and not failures and all(
-            np.isfinite(r["err_dt"]) and np.isfinite(r["err_grad"]) for r in rows)
+            np.isfinite(r["err_dt"]) and np.isfinite(r["err_grad"]) for r in scored)
     return out
 
 
@@ -256,11 +258,12 @@ def write_summary(summary: dict, path: Path):
         fh.write("\n")
 
 
-def write_plot(result: StudyResult, path: Path):
+def write_plot(result: StudyResult, path: Path) -> bool:
+    """Write the error chart; False, and no file, below two scored rows."""
     spec = result.spec
     rows = [r for r in result.rows if r["err_dt"] is not None]
     if len(rows) < 2:
-        return
+        return False
     if spec.kind == "pq":
         xlabel, x = "N_dofs^(1/3)", [nd ** (1.0 / 3.0) for nd in result.n_dofs]
     else:
@@ -269,8 +272,8 @@ def write_plot(result: StudyResult, path: Path):
     series = [(col, x, [r[col] for r in rows]) for col in ("err_dt", "err_grad")]
     p, q = rows[0]["p"], rows[0]["q"]
     guides = {"h": [p, p + 1], "tau": [q, q + 1], "delta": [1]}.get(spec.kind, [])
-    svgplot.plot(path, series, xlog=spec.kind != "pq", guides=guides, xlabel=xlabel,
-                 title=spec.name)
+    return svgplot.plot(path, series, xlog=spec.kind != "pq", guides=guides,
+                        xlabel=xlabel, title=spec.name)
 
 
 def write_study_outputs(result: StudyResult, out_dir: Path, plot: bool = False) -> dict:
@@ -279,7 +282,6 @@ def write_study_outputs(result: StudyResult, out_dir: Path, plot: bool = False) 
     write_csv(result.rows, base.with_suffix(".csv"))
     write_summary(result.summary, base.with_suffix(".json"))
     paths = {"csv": str(base.with_suffix(".csv")), "json": str(base.with_suffix(".json"))}
-    if plot:
-        write_plot(result, base.with_suffix(".svg"))
+    if plot and write_plot(result, base.with_suffix(".svg")):
         paths["svg"] = str(base.with_suffix(".svg"))
     return paths

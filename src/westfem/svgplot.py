@@ -46,13 +46,13 @@ def _svg_header(title: str) -> list:
             f'{title}</text>']
 
 
-def _axes_frame(out: list, xlabel: str, ylabel: str):
+def _axes_frame(out: list, xlabel: str):
     out.append(f'<rect x="{ML}" y="{MT}" width="{W - ML - MR}" '
                f'height="{H - MT - MB}" fill="none" stroke="black"/>')
     out.append(f'<text x="{(ML + W - MR) / 2:.0f}" y="{H - 14}" '
                f'text-anchor="middle">{xlabel}</text>')
     out.append(f'<text x="18" y="{(MT + H - MB) / 2:.0f}" text-anchor="middle" '
-               f'transform="rotate(-90 18 {(MT + H - MB) / 2:.0f})">{ylabel}</text>')
+               f'transform="rotate(-90 18 {(MT + H - MB) / 2:.0f})">error</text>')
 
 
 def _y_ticks(out: list, ay: _Axis, vals):
@@ -81,13 +81,14 @@ def _series_and_legend(out: list, series, ax, ay):
         out.append(f'<text x="{W - MR - 90}" y="{ly + 4}">{label}</text>')
 
 
-def plot(path, series, xlog, guides=(), xlabel="", ylabel="error", title=""):
+def plot(path, series, xlog, guides=(), xlabel="", title="") -> bool:
     """series: list of (label, xs, ys) on a log y axis; x is log when xlog,
-    linear otherwise.  guides: reference slopes, meaningful on log-log axes."""
+    linear otherwise.  guides: reference slopes, meaningful on log-log axes.
+    Returns whether a chart was written (not when no y value is positive)."""
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys if y > 0]
     if not ys_all:
-        return
+        return False
     ax = _Axis(min(xs_all), max(xs_all), ML, W - MR, log=xlog)
     ay = _Axis(min(ys_all), max(ys_all), H - MB, MT, log=True)
 
@@ -110,7 +111,7 @@ def plot(path, series, xlog, guides=(), xlabel="", ylabel="error", title=""):
                        f'y2="{H - MB + 5}" stroke="black"/>')
             out.append(f'<text x="{x:.1f}" y="{H - MB + 18}" text-anchor="middle">'
                        f'{v:.3g}</text>')
-    _axes_frame(out, xlabel, ylabel)
+    _axes_frame(out, xlabel)
 
     # guide of slope m through a point slightly below the first series
     if series and guides:
@@ -128,6 +129,7 @@ def plot(path, series, xlog, guides=(), xlabel="", ylabel="error", title=""):
     _series_and_legend(out, series, ax, ay)
     out.append("</svg>")
     _write(path, out)
+    return True
 
 
 def _write(path, lines):

@@ -134,6 +134,22 @@ def _sin_product():
     return g, grad
 
 
+def _rate_checks(ck: Checker, approximate):
+    """H1 error ~ h^p and L2 error ~ h^{p+1} at p = 1, 2 of the coefficients
+    approximate(space, g, grad_g) of the sine product."""
+    g, grad = _sin_product()
+    for p in (1, 2):
+        eh, el, hs = [], [], []
+        for n in (4, 8, 16):
+            sp = FESpace(unit_square_mesh(n), p)
+            coeffs = approximate(sp, g, grad)
+            eh.append(_h1_err(sp, coeffs, grad))
+            el.append(_l2_err(sp, coeffs, g))
+            hs.append(np.sqrt(2.0) / n)
+        ck.close(f"p{p}-h1-rate", float(eoc(eh, hs)[-1]), p, 0.25)
+        ck.close(f"p{p}-l2-rate", float(eoc(el, hs)[-1]), p + 1, 0.25)
+
+
 def _temporal_inverse_constant(q: int, tau: float = 1.0) -> float:
     """max ||v'|| / ||v|| over polynomials of degree q on an interval of
     length tau, by a dense generalized eigenvalue problem."""
@@ -248,7 +264,7 @@ def suite_mesh_integrity(ck: Checker):
 
 
 def suite_ritz_projection(ck: Checker):
-    g, grad = _sin_product()
+    _, grad = _sin_product()
     # orthogonality: stiffness residual of the projection vanishes on free dofs
     space = FESpace(unit_square_mesh(4), 2)
     r = ritz_project(space, grad)
@@ -263,31 +279,11 @@ def suite_ritz_projection(ck: Checker):
     gw = lambda x, y: ((1.0 - 2.0 * x) * y * (1.0 - y), x * (1.0 - x) * (1.0 - 2.0 * y))
     diff = ritz_project(space4, gw) - interpolate(space4, w)
     ck.below("idempotence-p4", float(np.abs(diff).max()), 1e-11)
-    # rates: H1 error ~ h^p, L2 error ~ h^{p+1}
-    for p in (1, 2):
-        eh, el, hs = [], [], []
-        for n in (4, 8, 16):
-            sp = FESpace(unit_square_mesh(n), p)
-            r = ritz_project(sp, grad)
-            eh.append(_h1_err(sp, r, grad))
-            el.append(_l2_err(sp, r, g))
-            hs.append(np.sqrt(2.0) / n)
-        ck.close(f"p{p}-h1-rate", float(eoc(eh, hs)[-1]), p, 0.25)
-        ck.close(f"p{p}-l2-rate", float(eoc(el, hs)[-1]), p + 1, 0.25)
+    _rate_checks(ck, lambda sp, g, grad: ritz_project(sp, grad))
 
 
 def suite_interpolant_rate(ck: Checker):
-    g, grad = _sin_product()
-    for p in (1, 2):
-        eh, el, hs = [], [], []
-        for n in (4, 8, 16):
-            sp = FESpace(unit_square_mesh(n), p)
-            coeffs = interpolate(sp, g)
-            eh.append(_h1_err(sp, coeffs, grad))
-            el.append(_l2_err(sp, coeffs, g))
-            hs.append(np.sqrt(2.0) / n)
-        ck.close(f"p{p}-h1-rate", float(eoc(eh, hs)[-1]), p, 0.25)
-        ck.close(f"p{p}-l2-rate", float(eoc(el, hs)[-1]), p + 1, 0.25)
+    _rate_checks(ck, lambda sp, g, grad: interpolate(sp, g))
 
 
 def suite_inverse_trace_constants(ck: Checker):
@@ -331,13 +327,12 @@ def suite_jump_control_bounds(ck: Checker, zeta_fn=zeta):
         zeta_true = 1.0 / (4.0 * (2 * q + 1))
         ck.close(f"q{q}-constant-formula", zeta_fn(q) * 4.0 * (2 * q + 1), 1.0, 1e-13)
 
-        def worst_defect(tau: float, theta: float = 1.0) -> float:
+        def worst_defect(tau: float) -> float:
             lam = zeta_fn(q) / tau
             g, w = gauss_interval(2 * q + 2)
             t = tau * g
             vals = shifted_legendre_table(q - 1, g)[0]          # w basis
-            full = shifted_legendre_table(q, g)[0]              # for Pi_{q-1}
-            phi = theta - lam * t
+            phi = 1.0 - lam * t
             # project phi*e_m back onto degree q-1, slab measure tau
             defects = []
             for m in range(q):

@@ -64,6 +64,7 @@ def test_jump_functional_dominates_endpoint_traces(smooth_run):
 
 def test_jump_functional_reduces_to_traces_for_exact_polynomial():
     # a solution reproduced exactly has continuous dt; interior terms vanish
+    from westfem.cases import ManufacturedCase
     from westfem.solver import solve_westervelt
     from westfem.spacefe import FESpace
     from westfem.mesh import unit_square_mesh
@@ -74,12 +75,11 @@ def test_jump_functional_reduces_to_traces_for_exact_polynomial():
 
     space = FESpace(unit_square_mesh(2), 4)
     part = TimePartition.uniform(1.0, 0.25)
-    sol, _ = solve_westervelt(
-        space, part, 3, c=1.0, k=0.0, delta=0.0,
+    case = ManufacturedCase(
+        name="t2-bubble", c=1.0, k=0.0, delta=0.0, T=1.0,
         f=lambda x, y, t: 2.0 * bubble(x, y)
-        + t * t * 2.0 * (y * (1 - y) + x * (1 - x)),
-        u0=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-        u1=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)))
+        + t * t * 2.0 * (y * (1 - y) + x * (1 - x)))
+    sol, _ = solve_westervelt(space, part, 3, case)
     expect = _endpoint_traces(space, part, sol)
     assert jump_functional(sol) == pytest.approx(expect, rel=1e-9)
 

@@ -1,10 +1,12 @@
 """Manufactured problems: forcing consistency and configuration handling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from westfem.cases import (CASES, ProblemConfig, get_case, smooth_case,
-                           verify_manufactured)
+from westfem.cases import (CASES, ManufacturedCase, ProblemConfig, get_case,
+                           smooth_case, verify_manufactured)
 
 
 @pytest.mark.parametrize("label", ["smooth", "smooth-fast"])
@@ -16,7 +18,7 @@ def test_forcing_matches_stored_solution(label):
 
 def test_corrupted_forcing_is_detected():
     case = get_case("smooth")
-    broken = case.replace(f=lambda x, y, t: case.f(x, y, t) * 1.001)
+    broken = dataclasses.replace(case, f=lambda x, y, t: case.f(x, y, t) * 1.001)
     out = verify_manufactured(broken)
     assert out["residual_rel"] > 1e-4  # the check has teeth
 
@@ -74,6 +76,36 @@ def test_config_rejects_bad_orders():
         ProblemConfig(case=case, n=2, p=0, q=2, tau=0.5)
     with pytest.raises(ValueError):
         ProblemConfig(case=case, n=2, p=1, q=1, tau=0.5)
+    # orders and mesh counts are integers; a float or bool is not rounded
+    for bad in ({"n": 4.5}, {"p": 2.0}, {"q": 3.0}, {"n": True}):
+        with pytest.raises(ValueError, match="must be integers"):
+            ProblemConfig(**{"case": case, "n": 2, "p": 1, "q": 2, "tau": 0.5, **bad})
+    assert ProblemConfig(case=case, n=np.int64(2), p=1, q=2, tau=0.5).n == 2
+
+
+@pytest.mark.parametrize("key,value", [("s_max", 2), ("tol", 1e-3), ("guard", 0.5)])
+def test_config_rejects_fixed_point_policy_keys(key, value):
+    # the iteration cap, tolerance and guard are the solver's, not inputs
+    with pytest.raises(TypeError, match=key):
+        ProblemConfig.from_dict({"case": "smooth", "n": 2, "p": 1, "q": 2, "tau": 0.5,
+                                 key: value})
+
+
+def test_config_exposes_solver_policy():
+    from westfem.solver import GUARD, TOL
+    cfg = ProblemConfig(case=smooth_case(), n=2, p=1, q=2, tau=0.5)
+    assert (cfg.tol, cfg.guard) == (TOL, GUARD) == (1e-12, 0.1)
+
+
+def test_initial_value_needs_its_gradient():
+    w = lambda x, y: x * (1 - x) * y * (1 - y)
+    gw = lambda x, y: ((1 - 2 * x) * y * (1 - y), x * (1 - x) * (1 - 2 * y))
+    f = lambda x, y, t: 0.0 * x
+    with pytest.raises(ValueError, match="u0_grad"):
+        ManufacturedCase(name="bad", c=1.0, k=0.0, delta=0.0, T=1.0, f=f, u0=w)
+    with pytest.raises(ValueError, match="u0_grad"):
+        ManufacturedCase(name="bad", c=1.0, k=0.0, delta=0.0, T=1.0, f=f, u0_grad=gw)
+    ManufacturedCase(name="ok", c=1.0, k=0.0, delta=0.0, T=1.0, f=f, u0=w, u0_grad=gw)
 
 
 def test_config_from_dict():

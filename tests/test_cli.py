@@ -83,20 +83,27 @@ def test_missing_file_exits_1(tmp_path):
     assert cli.main(["run", str(tmp_path / "absent.json")]) == 1
 
 
-@pytest.mark.parametrize("tau", [0.3, 0], ids=["tau-does-not-divide-T", "tau-zero"])
-def test_bad_config_exits_1(tmp_path, capsys, tau):
+@pytest.mark.parametrize("bad", [{"tau": 0.3}, {"tau": 0}, {"n": 4.5}, {"p": 2.0},
+                                 {"q": 3.0}, {"s_max": 2}, {"tol": 1e-3}, {"guard": 0.5}],
+                         ids=["tau-does-not-divide-T", "tau-zero", "n-not-integer",
+                              "p-float", "q-float", "s_max-key", "tol-key", "guard-key"])
+def test_bad_config_exits_1(tmp_path, capsys, bad):
     cfg = write_json(tmp_path / "c.json",
-                     {"case": "smooth", "n": 2, "p": 1, "q": 2, "tau": tau})
-    assert cli.main(["run", cfg]) == 1
+                     {"case": "smooth", "n": 2, "p": 1, "q": 2, "tau": 0.25, **bad})
+    assert cli.main(["run", cfg, "--out", str(tmp_path)]) == 1
     assert "error: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("snapshot", [{"snapshot_grid": 1},
                                       {"snapshot_grid": "fine"},
+                                      {"snapshot_grid": 2.7},
+                                      {"snapshot_grid": float("inf")},
                                       {"snapshot_times": ["start", 0.5]},
                                       {"snapshot_times": [-0.1, 0.5]},
                                       {"snapshot_times": [0.5, 2.0]}],
-                         ids=["grid-below-2", "grid-not-a-number", "times-not-numbers",
+                         ids=["grid-below-2", "grid-not-a-number", "grid-not-whole",
+                              "grid-infinite",
+                              "times-not-numbers",
                               "time-below-0", "time-above-T"])
 def test_bad_snapshot_options_exit_1_before_solving(tmp_path, monkeypatch, capsys, snapshot):
     def no_solve(cfg):
@@ -152,8 +159,11 @@ def test_study_failure_exits_2(tmp_path):
      "fixed": {"n": 2, "p": 1, "q": 2, "tau": 0.25}},
     {"kind": "delta", "case": "smooth", "sweep": [-1e-2, 1e-2],
      "fixed": {"n": 2, "p": 1, "q": 2, "tau": 0.25}},
+    {"kind": "h", "case": "smooth", "sweep": [2], "fixed": {"p": 2.0, "q": 2, "tau": 0.25}},
+    {"kind": "h", "case": "smooth", "sweep": [2],
+     "fixed": {"p": 1, "q": 2, "tau": 0.25, "tol": 1e-3}},
 ], ids=["missing-sweep", "fixed-tau-zero", "fixed-unknown-key", "sweep-not-whole",
-        "delta-zero", "delta-negative"])
+        "delta-zero", "delta-negative", "fixed-p-float", "fixed-tol"])
 def test_bad_study_spec_exits_1(tmp_path, capsys, spec):
     path = write_json(tmp_path / "s.json", spec)
     assert cli.main(["study", path, "--out", str(tmp_path / "r")]) == 1

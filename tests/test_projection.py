@@ -1,5 +1,7 @@
 """Combined space-time projection used in the error analysis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,7 +60,7 @@ def test_rejects_low_order_and_missing_gradients():
     with pytest.raises(ValueError):
         combined_project(space, part, 1, case)
     with pytest.raises(ValueError):
-        combined_project(space, part, 2, case.replace(grad_dtu=None))
+        combined_project(space, part, 2, dataclasses.replace(case, grad_dtu=None))
 
 
 def test_projection_error_decreases_under_joint_refinement():

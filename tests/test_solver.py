@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from westfem.errors import DegenerateCoefficient
-from westfem.cases import get_case, run_problem, ProblemConfig
+from westfem.cases import ManufacturedCase, get_case, run_problem, ProblemConfig
 from westfem.mesh import unit_square_mesh
 from westfem.solver import solve_westervelt
 from westfem.spacefe import FESpace, interpolate
@@ -33,11 +33,8 @@ def test_polynomial_solution_is_exact(part):
     def f(x, y, t):
         return 2.0 * bubble(x, y) - (c * c * t * t + 2 * delta * t) * lap_bubble(x, y)
 
-    sol, rep = solve_westervelt(
-        space, part, 3, c=c, k=0.0, delta=delta, f=f,
-        u0=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-        u1=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-        check_residual=True)
+    case = ManufacturedCase(name="t2-bubble", c=c, k=0.0, delta=delta, T=1.0, f=f)
+    sol, rep = solve_westervelt(space, part, 3, case, check_residual=True)
 
     w = interpolate(space, bubble)
     for t in (0.25, 0.6, 1.0):

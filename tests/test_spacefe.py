@@ -9,8 +9,7 @@ import pytest
 
 import westfem.spacefe as spacefe
 from westfem.mesh import unit_square_mesh
-from westfem.spacefe import (FESpace, evaluate, interpolate,
-                             ritz_project, ritz_project_fd)
+from westfem.spacefe import FESpace, evaluate, interpolate, ritz_project
 
 
 def make_space(n, p):
@@ -119,19 +118,6 @@ def test_ritz_projection_galerkin_orthogonality():
     res = (space.stiffness @ gp)[space.free_dofs] - load[space.free_dofs]
     scale = np.max(np.abs(load)) or 1.0
     assert np.max(np.abs(res)) < 1e-12 * scale
-
-
-def test_ritz_fd_matches_exact_gradient_variant():
-    space = make_space(3, 2)
-
-    def g(x, y):
-        return np.sin(np.pi * x) * np.sin(np.pi * y)
-
-    def grad(x, y):
-        return (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-                np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
-
-    assert np.max(np.abs(ritz_project(space, grad) - ritz_project_fd(space, g))) < 1e-7
 
 
 def test_boundary_rows_fixed():

@@ -68,6 +68,12 @@ class TestSpecValidation:
             h_spec(fixed={"p": 1, "q": 2, "tau": 0})
         with pytest.raises(TypeError):
             h_spec(fixed={"p": 1, "q": 2, "tau": 0.25, "order": 3})
+        with pytest.raises(ValueError, match="integers"):
+            h_spec(fixed={"p": 2.0, "q": 2, "tau": 0.25})
+        # the fixed-point policy is the solver's, not an input
+        for key, value in (("s_max", 2), ("tol", 1e-3), ("guard", 0.5)):
+            with pytest.raises(TypeError, match=key):
+                h_spec(fixed={"p": 1, "q": 2, "tau": 0.25, key: value})
 
     def test_default_name(self):
         assert h_spec().name == "h-smooth"
@@ -158,11 +164,15 @@ def test_delta_study_differences_against_inviscid_baseline(delta_result):
 
 
 def test_cfl_study_reports_finiteness():
-    spec = StudySpec(kind="cfl", case="smooth", sweep=[2, 4],
-                     fixed={"p": 1, "q": 2, "tau": 2.0},
-                     case_overrides={"T": 10.0})
-    result = run_study(spec)
-    assert result.summary["all_finite"] is True
+    specs = [StudySpec(kind="cfl", case="smooth", sweep=[2, 4],
+                       fixed={"p": 1, "q": 2, "tau": 2.0}, case_overrides={"T": 10.0}),
+             # a data-only case has no error cells to test
+             StudySpec(kind="cfl", case="gaussian-pulse", sweep=[2, 3],
+                       fixed={"p": 1, "q": 2, "tau": 1e-5}, case_overrides={"T": 2e-5})]
+    for spec in specs:
+        result = run_study(spec)
+        assert not result.failures
+        assert result.summary["all_finite"] is True, spec.case
 
 
 def test_failures_recorded_without_strict():
@@ -218,6 +228,10 @@ def test_data_only_study_leaves_error_cells_empty(tmp_path):
     s = result.summary
     assert s["err_dt"] == [] and s["err_grad"] == []
     assert "eoc_dt" not in s and "eoc_grad" not in s
+    # no error rows, no chart: the outputs list only what was written
+    paths = write_study_outputs(result, tmp_path, plot=True)
+    assert sorted(paths) == ["csv", "json"]
+    assert not (tmp_path / f"{spec.name}.svg").exists()
 
 
 def test_summary_times_error_functionals(h_result):
