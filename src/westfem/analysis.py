@@ -50,15 +50,13 @@ def err_linf_l2(sol: DiscreteSolution, ref, mode: str,
     for n in range(sol.partition.n_slabs):
         t0, tau = sol.partition.breakpoints[n], sol.partition.taus[n]
         rows = sol.rows(n, svec, deriv)
+        times = t0 + tau * svec
         if mode == "dt":
-            vals = ed.function_values_multi(rows)
-            for s, fe in zip(svec, vals):
-                e = fe - ed.sample(ref.dtu, t0 + tau * s)
+            for e in ed.function_values_multi(rows) - ed.sample(ref.dtu, times):
                 worst = max(worst, ed.integrate(e * e))
         else:
-            for s, row in zip(svec, rows):
+            for row, gx, gy in zip(rows, *ed.sample(ref.grad_u, times)):
                 g = ed.function_gradients(row)
-                gx, gy = ed.sample(ref.grad_u, t0 + tau * s)
                 e = (g[:, :, 0] - gx) ** 2 + (g[:, :, 1] - gy) ** 2
                 worst = max(worst, ed.integrate(e))
     return float(np.sqrt(worst))
@@ -138,8 +136,7 @@ def data_functional(space, partition, case) -> float:
     f_l1l2 = 0.0
     for n in range(partition.n_slabs):
         t0, tau = partition.breakpoints[n], partition.taus[n]
-        for gs, ws_ in zip(g, w):
-            fv = ed.sample(case.f, t0 + tau * gs)
+        for fv, ws_ in zip(ed.sample(case.f, t0 + tau * g), w):
             f_l1l2 += tau * ws_ * np.sqrt(ed.integrate(fv * fv))
 
     total = f_l1l2 ** 2

@@ -62,8 +62,10 @@ def _cmd_run(args) -> int:
     if m is not None and (m != snap_grid or m < 2):
         raise UsageError(f"snapshot_grid must be a whole number of at least 2, "
                          f"got {snap_grid!r}")
-    if times is not None and times.ndim != 1:
-        raise UsageError("snapshot_times must be a list of times")
+    if times is not None and m is None:
+        raise UsageError("snapshot_times needs a snapshot_grid")
+    if times is not None and (times.ndim != 1 or times.size == 0):
+        raise UsageError("snapshot_times must be a non-empty list of times")
     if times is not None and not np.all((times >= 0) & (times <= cfg.case.T)):
         raise UsageError(f"snapshot_times must lie in [0, T] = [0, {cfg.case.T}]")
 

@@ -44,12 +44,14 @@ def assemble_slab_lhs(space: FESpace, cm: np.ndarray, ck: np.ndarray) -> sp.csc_
 
 @dataclass
 class SlabState:
-    """Known data entering slab n: the shared start trace and the assembled
-    trace load.  For n = 1 the trace load is the weak initial-velocity term
-    ((1+k u0) u1, phi); for n >= 2 it is ((1+k u(t_{n-1})) dtu(t_{n-1}^-), phi)."""
+    """Known data entering slab n: the shared start trace, its values at
+    the nonlinear quadrature points, and the assembled trace load.  For n = 1
+    the trace load is the weak initial-velocity term ((1+k u0) u1, phi); for
+    n >= 2 it is ((1+k u(t_{n-1})) dtu(t_{n-1}^-), phi)."""
 
     n: int                    # 1-based slab index
     u_start: np.ndarray       # (n_dof,)
+    u_start_q: np.ndarray     # (nt, nq), ed_nl.function_values(u_start)
     trace_load: np.ndarray    # (n_dof,)
 
 
@@ -67,9 +69,9 @@ class SlabWorkspace:
 
     def f_time_loads(self, t_start: float, tau: float) -> np.ndarray:
         """Spatial loads of f at the slab's temporal Gauss nodes; (2q, n_dof)."""
-        ed, f = self.ed_lin, self.case.f
-        vals = np.stack([ed.sample(f, t_start + tau * gk) for gk in self.basis.nodes])
-        return ed.assemble_pointwise_load_multi(vals)
+        ed = self.ed_lin
+        return ed.assemble_pointwise_load_multi(
+            ed.sample(self.case.f, t_start + tau * self.basis.nodes))
 
     def time_integrate(self, loads: np.ndarray, tau: float) -> np.ndarray:
         """tau * int_0^1 Lt_i(s) load(s) ds from nodal loads; (2q, dof) -> (q, dof)."""
@@ -89,14 +91,13 @@ def assemble_slab_rhs(ws: SlabWorkspace, state: SlabState, tau: float,
 def slab_fields(ws: SlabWorkspace, state: SlabState, tau: float, modal: np.ndarray):
     """Iterate given in full modal form (q+1, n_dof) at the nonlinear
     quadrature points: u, dt u and dtt u on the space-time grid (each
-    (2q, nt, nq)), then u(t_{n-1}) and dt u(t_{n-1}^+) in space (nt, nq)."""
+    (2q, nt, nq)), then dt u(t_{n-1}^+) in space (nt, nq)."""
     b, ed = ws.basis, ws.ed_nl
     uq = ed.function_values_multi(b.values.T @ modal)
     dtq = ed.function_values_multi((b.ds.T @ modal) / tau)
     dttq = ed.function_values_multi((b.dss.T @ modal) / tau ** 2)
-    uprev_q = ed.function_values(state.u_start)
     dtu0_q = ed.function_values((b.d0 @ modal) / tau)
-    return uq, dtq, dttq, uprev_q, dtu0_q
+    return uq, dtq, dttq, dtu0_q
 
 
 def lagged_rhs(ws: SlabWorkspace, state: SlabState, tau: float, modal: np.ndarray):
@@ -107,12 +108,12 @@ def lagged_rhs(ws: SlabWorkspace, state: SlabState, tau: float, modal: np.ndarra
     minimum of 1 + k u over the slab's space-time quadrature grid.
     """
     ed, free, k = ws.ed_nl, ws.space.free_dofs, ws.case.k
-    uq, dtq, dttq, uprev_q, dtu0_q = slab_fields(ws, state, tau, modal)
+    uq, dtq, dttq, dtu0_q = slab_fields(ws, state, tau, modal)
     coeff_min = float((1.0 + k * uq).min())
     # dt(u dtu) = (dtu)^2 + u dttu, exact for the polynomial integrand
     loads = ed.assemble_pointwise_load_multi(dtq * dtq + uq * dttq)
     out = -k * ws.time_integrate(loads, tau)[:, free]
-    tload = ed.assemble_pointwise_load(uprev_q * dtu0_q)[free]
+    tload = ed.assemble_pointwise_load(state.u_start_q * dtu0_q)[free]
     out -= k * np.outer(ws.basis.test_start, tload)
     return out, coeff_min
 
@@ -125,12 +126,12 @@ def nonlinear_residual(ws: SlabWorkspace, state: SlabState, tau: float,
     Returns (q, n_free)."""
     b, ed, free = ws.basis, ws.ed_nl, ws.space.free_dofs
     c, k, delta = ws.case.c, ws.case.k, ws.case.delta
-    uq, dtq, dttq, uprev_q, dtu0_q = slab_fields(ws, state, tau, modal)
+    uq, dtq, dttq, dtu0_q = slab_fields(ws, state, tau, modal)
     loads = ed.assemble_pointwise_load_multi((1.0 + k * uq) * dttq + k * dtq * dtq)
     res = ws.time_integrate(loads, tau)[:, free]
 
     # trace coupling: ((1+k u(t_{n-1})) dtu(t_{n-1}^+), w(t_{n-1}^+))
-    tlhs = ed.assemble_pointwise_load((1.0 + k * uprev_q) * dtu0_q)[free]
+    tlhs = ed.assemble_pointwise_load((1.0 + k * state.u_start_q) * dtu0_q)[free]
     res += np.outer(b.test_start, tlhs)
 
     # stiffness terms with exact temporal integration

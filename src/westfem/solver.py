@@ -163,7 +163,8 @@ def solve_westervelt(space: FESpace, partition: TimePartition, q: int, case,
     factors: dict[float, Factorization] = {}
     all_modes = np.empty((partition.n_slabs, q, space.n_dof))
     sol_bp = ustart
-    state = SlabState(n=1, u_start=ustart, trace_load=trace_load)
+    state = SlabState(n=1, u_start=ustart, u_start_q=ws.ed_nl.function_values(ustart),
+                      trace_load=trace_load)
 
     for n in range(1, partition.n_slabs + 1):
         tau = float(partition.taus[n - 1])
@@ -186,7 +187,7 @@ def solve_westervelt(space: FESpace, partition: TimePartition, q: int, case,
             uq = ws.ed_nl.function_values(sol_bp)
             vq = ws.ed_nl.function_values(v_minus)
             tl = ws.ed_nl.assemble_pointwise_load((1.0 + k * uq) * vq)
-            state = SlabState(n=n + 1, u_start=sol_bp, trace_load=tl)
+            state = SlabState(n=n + 1, u_start=sol_bp, u_start_q=uq, trace_load=tl)
 
     sol = DiscreteSolution(space, partition, q, all_modes, ustart)
     report.runtime_s = time.perf_counter() - t_start

@@ -199,11 +199,17 @@ class ElementData:
 
     def sample(self, g, *t):
         """g(x, y, *t) at the quadrature points, broadcast to (nt, nq); a
-        callable returning a tuple (a vector field) gets each entry broadcast."""
+        callable returning a tuple (a vector field) gets each entry broadcast.
+
+        A 1-D array of m times gives (m, nt, nq): g sees them as t[:, None,
+        None], so a broadcasting g computes its spatial factors once for all
+        m times, each entry by the same operations as a scalar-time call."""
+        t = [np.asarray(s)[:, None, None] if np.ndim(s) == 1 else s for s in t]
+        shape = np.broadcast_shapes(self.wdetj.shape, *map(np.shape, t))
         v = g(self.phys[:, :, 0], self.phys[:, :, 1], *t)
         if isinstance(v, tuple):
-            return tuple(np.broadcast_to(c, self.wdetj.shape) for c in v)
-        return np.broadcast_to(v, self.wdetj.shape)
+            return tuple(np.broadcast_to(c, shape) for c in v)
+        return np.broadcast_to(v, shape)
 
     def integrate(self, v: np.ndarray) -> float:
         """Integral over the domain of v given at the quadrature points (nt, nq)."""

@@ -136,11 +136,14 @@ def run_study(spec: StudySpec, threads: int = 1, strict: bool = False) -> StudyR
     def work(cfg):
         try:
             space, _, sol, rep = run_problem(cfg, space=shared_space)
-            return space.n_dof, sol, rep
         except SolverFailure as exc:
             if strict:
                 raise
             return f"{type(exc).__name__}: {exc}"
+        if spec.kind == "delta":
+            return space.n_dof, (sol, rep)      # scored after the baseline solve
+        # scored on the thread that solved it, while other entries solve
+        return space.n_dof, result_row(cfg, sol, rep, cfg.case)
 
     # map cancels the queued entries when one raises, so strict stops the sweep
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -157,8 +160,10 @@ def run_study(spec: StudySpec, threads: int = 1, strict: bool = False) -> StudyR
         if isinstance(entry, str):
             failures.append({"index": i, "config": config_cells(cfg), "error": entry})
             continue
-        n_dof, sol, rep = entry
-        rows.append(result_row(cfg, sol, rep, cfg.case if baseline is None else baseline))
+        n_dof, row = entry
+        if baseline is not None:
+            row = result_row(cfg, *row, baseline)
+        rows.append(row)
         n_dofs.append(n_dof)
 
     _fill_eoc(spec, rows)

@@ -48,6 +48,33 @@ def test_err_linf_l2_modes(smooth_run):
         err_linf_l2(sol, case, "value")
 
 
+def _err_per_time(sol, case, mode):
+    # reference: one exact-data sample per sampled time
+    ed, svec = sol.space.ed_err, np.linspace(0.0, 1.0, 2 * sol.q + 3)
+    worst = 0.0
+    for n in range(sol.partition.n_slabs):
+        t0, tau = sol.partition.breakpoints[n], sol.partition.taus[n]
+        rows = sol.rows(n, svec, 1 if mode == "dt" else 0)
+        if mode == "dt":
+            for s, fe in zip(svec, ed.function_values_multi(rows)):
+                e = fe - ed.sample(case.dtu, t0 + tau * s)
+                worst = max(worst, ed.integrate(e * e))
+        else:
+            for s, row in zip(svec, rows):
+                g = ed.function_gradients(row)
+                gx, gy = ed.sample(case.grad_u, t0 + tau * s)
+                worst = max(worst, ed.integrate((g[:, :, 0] - gx) ** 2 + (g[:, :, 1] - gy) ** 2))
+    return float(np.sqrt(worst))
+
+
+@pytest.mark.parametrize("label", ["smooth", "smooth-fast"])
+def test_err_linf_l2_equals_per_time_sampling(label):
+    case = get_case(label)
+    _, _, sol, _ = run_problem(ProblemConfig(case=case, n=4, p=2, q=3, tau=0.25))
+    for mode in ("dt", "grad"):
+        assert err_linf_l2(sol, case, mode) == _err_per_time(sol, case, mode)
+
+
 def _endpoint_traces(space, part, sol):
     mm = space.mass
     v_end = sol.dt_slab(part.n_slabs - 1, 1.0)

@@ -98,13 +98,16 @@ def test_bad_config_exits_1(tmp_path, capsys, bad):
                                       {"snapshot_grid": "fine"},
                                       {"snapshot_grid": 2.7},
                                       {"snapshot_grid": float("inf")},
-                                      {"snapshot_times": ["start", 0.5]},
-                                      {"snapshot_times": [-0.1, 0.5]},
-                                      {"snapshot_times": [0.5, 2.0]}],
+                                      {"snapshot_grid": 5, "snapshot_times": ["start", 0.5]},
+                                      {"snapshot_grid": 5, "snapshot_times": [-0.1, 0.5]},
+                                      {"snapshot_grid": 5, "snapshot_times": [0.5, 2.0]},
+                                      {"snapshot_times": [0.5, 1.0]},
+                                      {"snapshot_grid": 5, "snapshot_times": []}],
                          ids=["grid-below-2", "grid-not-a-number", "grid-not-whole",
                               "grid-infinite",
                               "times-not-numbers",
-                              "time-below-0", "time-above-T"])
+                              "time-below-0", "time-above-T",
+                              "times-without-grid", "times-empty"])
 def test_bad_snapshot_options_exit_1_before_solving(tmp_path, monkeypatch, capsys, snapshot):
     def no_solve(cfg):
         raise AssertionError("solved before validating the snapshot options")

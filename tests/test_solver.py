@@ -6,6 +6,7 @@ import pytest
 from westfem.errors import DegenerateCoefficient
 from westfem.cases import ManufacturedCase, get_case, run_problem, ProblemConfig
 from westfem.mesh import unit_square_mesh
+from westfem.slab import SlabWorkspace
 from westfem.solver import solve_westervelt
 from westfem.spacefe import FESpace, interpolate
 from westfem.timefe import TimePartition
@@ -114,3 +115,16 @@ def test_longtime_large_steps_stay_bounded():
     _, _, sol, rep = run_problem(cfg)
     assert np.all(np.isfinite(sol.modes))
     assert all(info.coeff_min > 0.1 for info in rep.slabs)
+
+
+@pytest.mark.parametrize("label", ["smooth", "gaussian-pulse", "standing-wave"])
+def test_f_time_loads_stack_per_node_loads(label):
+    case = get_case(label)
+    space = FESpace(unit_square_mesh(3), 2)
+    ws = SlabWorkspace(space, 3, case)
+    t0, tau = 0.3 * case.T, 0.25 * case.T
+    ed = space.ed_lin
+    # reference: one sample per temporal node, stacked
+    ref = ed.assemble_pointwise_load_multi(
+        np.stack([ed.sample(case.f, t0 + tau * g) for g in ws.basis.nodes]))
+    assert np.array_equal(ws.f_time_loads(t0, tau), ref)

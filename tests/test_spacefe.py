@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import westfem.spacefe as spacefe
+from westfem.cases import get_case
 from westfem.mesh import unit_square_mesh
 from westfem.spacefe import FESpace, evaluate, interpolate, ritz_project
 
@@ -181,6 +182,28 @@ def test_kernels_match_element_major_einsum(p, deg):
     ref = np.zeros(space.n_dof)
     np.add.at(ref, space.cell_dofs.ravel(), loc.ravel())
     assert np.array_equal(ed.assemble_gradient_load(field), ref)
+
+
+@pytest.mark.parametrize("label", ["smooth", "smooth-fast", "standing-wave", "gaussian-pulse"])
+def test_vector_time_sample_stacks_scalar_time_samples(label):
+    # every time-dependent callable of the case, vector fields included and
+    # standing-wave's f, which ignores t
+    case = get_case(label)
+    ed = make_space(3, 2).ed_err
+    ts = np.linspace(0.0, case.T, 5)
+    for g in (case.f, case.u, case.dtu, case.grad_u, case.grad_dtu):
+        if g is None:
+            continue
+        one = ed.sample(g, ts[2])
+        many = ed.sample(g, ts)
+        if isinstance(one, tuple):
+            assert len(many) == len(one) == 2
+            for c in range(2):
+                assert one[c].shape == ed.wdetj.shape
+                assert np.array_equal(many[c], np.stack([ed.sample(g, t)[c] for t in ts]))
+        else:
+            assert one.shape == ed.wdetj.shape
+            assert np.array_equal(many, np.stack([ed.sample(g, t) for t in ts]))
 
 
 @pytest.mark.parametrize("p", [1, 2, 5])

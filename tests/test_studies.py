@@ -1,6 +1,7 @@
 """Study driver: spec validation, sweep execution, CSV/JSON/SVG output."""
 
 import csv
+import threading
 import time
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 import westfem.spacefe as spacefe
+import westfem.studies as studies
+from westfem.analysis import err_linf_l2
 from westfem.errors import SolverFailure
 from westfem.studies import (CSV_COLUMNS, StudySpec, run_study, write_csv,
                              write_study_outputs)
@@ -143,9 +146,31 @@ def test_csv_schema_and_reproducibility(h_result, tmp_path):
 
 def test_threaded_execution_matches_serial(h_result):
     threaded = run_study(h_spec(sweep=[2, 4, 8]), threads=3)
+    assert len(threaded.rows) == len(h_result.rows)
     for a, b in zip(h_result.rows, threaded.rows):
-        assert a["err_dt"] == b["err_dt"]
-        assert a["err_grad"] == b["err_grad"]
+        for col in CSV_COLUMNS:
+            if col != "runtime_s":
+                assert a[col] == b[col], col
+
+
+@pytest.mark.parametrize("kind", ["h", "delta"])
+def test_entries_scored_on_the_thread_that_can_score_them(monkeypatch, kind):
+    # an h entry is scored on the pool thread that solved it; a delta entry
+    # needs the baseline, which the main thread solves after the pool
+    scorers = []
+
+    def recording(*args, **kwargs):
+        scorers.append(threading.current_thread())
+        return err_linf_l2(*args, **kwargs)
+
+    monkeypatch.setattr(studies, "err_linf_l2", recording)
+    spec = (h_spec(sweep=[2, 3, 4]) if kind == "h" else
+            StudySpec(kind="delta", case="smooth", sweep=[1e-3, 1e-2],
+                      fixed={"n": 3, "p": 1, "q": 2, "tau": 0.25}))
+    result = run_study(spec, threads=2)
+    assert not result.failures and len(scorers) == 2 * len(result.rows)
+    on_main = [t is threading.main_thread() for t in scorers]
+    assert all(on_main) if kind == "delta" else not any(on_main)
 
 
 @pytest.fixture(scope="module")
