@@ -115,7 +115,6 @@ class StudyResult:
     spec: StudySpec
     rows: list
     failures: list
-    n_dofs: list
     summary: dict
 
     @property
@@ -127,47 +126,43 @@ def run_study(spec: StudySpec, threads: int = 1, strict: bool = False) -> StudyR
     """Execute the sweep; failures are recorded per entry unless strict."""
     configs = spec.configs()
 
-    # delta entries are differenced against a baseline on the identical
-    # discretization, so they must share one space object
-    shared_space = None
-    if spec.kind == "delta":
-        shared_space = FESpace(unit_square_mesh(configs[0].n), configs[0].p)
+    # each entry is scored on the thread that solved it, while other entries
+    # solve; a delta entry is differenced against the inviscid baseline on
+    # the identical discretization, so the solves share one space object
+    shared_space = baseline = None
 
     def work(cfg):
         try:
-            space, _, sol, rep = run_problem(cfg, space=shared_space)
+            _, _, sol, rep = run_problem(cfg, space=shared_space)
         except SolverFailure as exc:
             if strict:
                 raise
             return f"{type(exc).__name__}: {exc}"
-        if spec.kind == "delta":
-            return space.n_dof, (sol, rep)      # scored after the baseline solve
-        # scored on the thread that solved it, while other entries solve
-        return space.n_dof, result_row(cfg, sol, rep, cfg.case)
+        # outside the try: a baseline failure is the study's, never an entry's
+        ref = cfg.case if baseline is None else baseline.result()[2]
+        return result_row(cfg, sol, rep, ref)
 
     # map cancels the queued entries when one raises, so strict stops the sweep
     with ThreadPoolExecutor(max_workers=threads) as pool:
+        if spec.kind == "delta":
+            shared_space = FESpace(unit_square_mesh(configs[0].n), configs[0].p)
+            base_case = get_case(spec.case, **{**spec.case_overrides, "delta": 0.0})
+            base_cfg = ProblemConfig(case=base_case, **spec.fixed)
+            # the queue is FIFO: the baseline starts before any entry waits on it
+            baseline = pool.submit(run_problem, base_cfg, shared_space)
         entries = list(pool.map(work, configs))
+        if baseline is not None:
+            baseline.result()       # raises even when every entry failed
 
-    baseline = None
-    if spec.kind == "delta":
-        base_case = get_case(spec.case, **{**spec.case_overrides, "delta": 0.0})
-        base_cfg = ProblemConfig(case=base_case, **spec.fixed)
-        _, _, baseline, _ = run_problem(base_cfg, space=shared_space)
-
-    rows, failures, n_dofs = [], [], []
+    rows, failures = [], []
     for i, (cfg, entry) in enumerate(zip(configs, entries)):
         if isinstance(entry, str):
             failures.append({"index": i, "config": config_cells(cfg), "error": entry})
-            continue
-        n_dof, row = entry
-        if baseline is not None:
-            row = result_row(cfg, *row, baseline)
-        rows.append(row)
-        n_dofs.append(n_dof)
+        else:
+            rows.append(entry)
 
     _fill_eoc(spec, rows)
-    return StudyResult(spec, rows, failures, n_dofs, _summary(spec, rows, failures, n_dofs))
+    return StudyResult(spec, rows, failures, _summary(spec, rows, failures))
 
 
 def config_cells(cfg: ProblemConfig) -> dict:
@@ -183,7 +178,8 @@ def result_row(cfg: ProblemConfig, sol, rep, ref) -> dict:
     `ref` is the case, or a discrete solution on the same discretization
     (the delta study's inviscid baseline).  A case without a closed-form
     solution gets empty error cells.  `runtime_err_s`, the seconds spent in
-    err_linf_l2, is not a CSV column; runtime_s times only the solve.
+    err_linf_l2, and `n_dof`, the space's dof count, are not CSV columns;
+    runtime_s times only the solve.
     """
     t_err = time.perf_counter()
     if not isinstance(ref, DiscreteSolution) and ref.u is None:
@@ -195,7 +191,8 @@ def result_row(cfg: ProblemConfig, sol, rep, ref) -> dict:
     return {**config_cells(cfg), "err_dt": e_dt, "err_grad": e_g,
             "eoc_dt": None, "eoc_grad": None,
             "iters_mean": round(rep.iters_mean, 3), "iters_max": rep.iters_max,
-            "runtime_s": round(rep.runtime_s, 4), "runtime_err_s": runtime_err}
+            "runtime_s": round(rep.runtime_s, 4), "runtime_err_s": runtime_err,
+            "n_dof": sol.space.n_dof}
 
 
 def _fill_eoc(spec: StudySpec, rows: list):
@@ -210,14 +207,14 @@ def _fill_eoc(spec: StudySpec, rows: list):
             row[col] = round(float(v), 4)
 
 
-def _summary(spec, rows, failures, n_dofs) -> dict:
+def _summary(spec, rows, failures) -> dict:
     scored = [r for r in rows if r["err_dt"] is not None]
     errs_dt = [r["err_dt"] for r in scored]
     errs_g = [r["err_grad"] for r in scored]
     out = {"name": spec.name, "kind": spec.kind, "case": spec.case,
            "sweep": list(spec.sweep), "fixed": spec.fixed,
            "case_overrides": spec.case_overrides,
-           "n_dofs": n_dofs, "rows": len(rows), "failures": failures,
+           "n_dofs": [r["n_dof"] for r in rows], "rows": len(rows), "failures": failures,
            "err_dt": errs_dt, "err_grad": errs_g,
            "runtime_err_s": [r["runtime_err_s"] for r in rows]}
     if spec.kind in _EOC_PARAM and len(scored) >= 2:
@@ -225,7 +222,7 @@ def _summary(spec, rows, failures, n_dofs) -> dict:
         out["eoc_grad"] = [r["eoc_grad"] for r in scored[1:]]
     if spec.kind == "pq" and len(scored) >= 2:
         # exponential regime: log err ~ a - b N^(1/3)
-        x = np.asarray(n_dofs, dtype=float) ** (1.0 / 3.0)
+        x = np.asarray([r["n_dof"] for r in scored], dtype=float) ** (1.0 / 3.0)
         out["exp_fit_b_dt"] = round(float(-np.polyfit(x, np.log(errs_dt), 1)[0]), 4)
         out["exp_fit_b_grad"] = round(float(-np.polyfit(x, np.log(errs_g), 1)[0]), 4)
     if spec.kind == "cfl":
@@ -270,7 +267,7 @@ def write_plot(result: StudyResult, path: Path) -> bool:
     if len(rows) < 2:
         return False
     if spec.kind == "pq":
-        xlabel, x = "N_dofs^(1/3)", [nd ** (1.0 / 3.0) for nd in result.n_dofs]
+        xlabel, x = "N_dofs^(1/3)", [r["n_dof"] ** (1.0 / 3.0) for r in rows]
     else:
         xlabel = _EOC_PARAM.get(spec.kind, "h")
         x = [r[xlabel] for r in rows]

@@ -4,7 +4,7 @@ Each suite checks one analytical ingredient the solver's convergence rests
 on (projection identities, inverse estimates, the jump-control constant,
 residuals of manufactured solutions, exact reproduction of polynomial
 solutions, ...) against independently computed values.  `run_verify`
-executes them and returns a machine-readable report; the CLI `verify`
+executes them and returns a report of every check; the CLI `verify`
 subcommand prints it and sets the exit code.
 """
 
@@ -37,9 +37,6 @@ class CheckResult:
     passed: bool
     info: str = ""
 
-    def to_dict(self) -> dict:
-        return {"label": self.label, "passed": self.passed, "info": self.info}
-
 
 @dataclass
 class SuiteResult:
@@ -52,11 +49,6 @@ class SuiteResult:
     def passed(self) -> bool:
         return self.error is None and all(c.passed for c in self.checks)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "runtime_s": self.runtime_s, "error": self.error,
-                "checks": [c.to_dict() for c in self.checks]}
-
 
 @dataclass
 class VerifyReport:
@@ -65,11 +57,6 @@ class VerifyReport:
     @property
     def passed(self) -> bool:
         return all(s.passed for s in self.suites)
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "n_suites": len(self.suites),
-                "n_failed": sum(not s.passed for s in self.suites),
-                "suites": [s.to_dict() for s in self.suites]}
 
     def summary_lines(self, verbose: bool = False) -> list:
         lines = []
@@ -314,7 +301,7 @@ def suite_inverse_trace_constants(ck: Checker):
                  (q + 1) ** 2, 1e-10)
 
 
-def suite_jump_control_bounds(ck: Checker, zeta_fn=zeta):
+def suite_jump_control_bounds(ck: Checker):
     """Jump-control constant of the weighted test function construction.
 
     On each slab, the defect (Id - Pi_{q-1})(phi_n w) for test functions w
@@ -325,10 +312,10 @@ def suite_jump_control_bounds(ck: Checker, zeta_fn=zeta):
     rng = np.random.default_rng(3)
     for q in range(2, 7):
         zeta_true = 1.0 / (4.0 * (2 * q + 1))
-        ck.close(f"q{q}-constant-formula", zeta_fn(q) * 4.0 * (2 * q + 1), 1.0, 1e-13)
+        ck.close(f"q{q}-constant-formula", zeta(q) * 4.0 * (2 * q + 1), 1.0, 1e-13)
 
         def worst_defect(tau: float) -> float:
-            lam = zeta_fn(q) / tau
+            lam = zeta(q) / tau
             g, w = gauss_interval(2 * q + 2)
             t = tau * g
             vals = shifted_legendre_table(q - 1, g)[0]          # w basis
@@ -345,7 +332,7 @@ def suite_jump_control_bounds(ck: Checker, zeta_fn=zeta):
             lam_max = scipy.linalg.eigh(gram_d, gram_w, eigvals_only=True)[-1]
             return float(np.sqrt(max(lam_max, 0.0)))
 
-        sharp = zeta_fn(q) * q / (2.0 * np.sqrt(4.0 * q * q - 1.0))
+        sharp = zeta(q) * q / (2.0 * np.sqrt(4.0 * q * q - 1.0))
         wd = worst_defect(0.3)
         ck.below(f"q{q}-projection-bound", wd, zeta_true * (1.0 + 1e-12))
         ck.within(f"q{q}-tightness", wd / zeta_true, 0.2, 0.35)
@@ -359,15 +346,15 @@ def suite_jump_control_bounds(ck: Checker, zeta_fn=zeta):
         ck.below(f"q{q}-constant-weight-defect",
                  float(np.abs(pw - coef @ vals).max()), 1e-13)
         # weight function bounds: theta - zeta <= phi <= theta, positive
-        theta = 2.0 * zeta_fn(q)
+        theta = 2.0 * zeta(q)
         part = TimePartition.uniform(1.0, 0.25)
         wf = weight_phi(2, theta, q, part)
         ck.close(f"q{q}-weight-endpoints", wf.value_start - wf.value_end,
-                 zeta_fn(q), 1e-14)
+                 zeta(q), 1e-14)
         ck.check(f"q{q}-weight-positive", wf.value_end > 0,
                  f"end value {wf.value_end:.4g}")
         try:
-            weight_phi(1, zeta_fn(q), q, part)
+            weight_phi(1, zeta(q), q, part)
             ck.check(f"q{q}-weight-guard", False, "theta = zeta accepted")
         except ValueError:
             ck.check(f"q{q}-weight-guard", True, "theta > zeta enforced")
@@ -638,7 +625,7 @@ SUITES = {
 }
 
 
-def run_verify(pattern: str | None = None, overrides: dict | None = None) -> VerifyReport:
+def run_verify(pattern: str | None = None) -> VerifyReport:
     """Run all (or pattern-matched) suites; never raises on suite failure."""
     names = list(SUITES)
     if pattern:
@@ -652,7 +639,7 @@ def run_verify(pattern: str | None = None, overrides: dict | None = None) -> Ver
         t0 = time.perf_counter()
         error = None
         try:
-            SUITES[name](ck, **((overrides or {}).get(name, {})))
+            SUITES[name](ck)
         except Exception as exc:  # pragma: no cover - defensive
             error = f"{type(exc).__name__}: {exc}"
         report.suites.append(SuiteResult(name, ck.checks, time.perf_counter() - t0, error))

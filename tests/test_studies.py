@@ -12,6 +12,7 @@ import pytest
 import westfem.spacefe as spacefe
 import westfem.studies as studies
 from westfem.analysis import err_linf_l2
+from westfem.cases import run_problem
 from westfem.errors import SolverFailure
 from westfem.studies import (CSV_COLUMNS, StudySpec, run_study, write_csv,
                              write_study_outputs)
@@ -22,6 +23,11 @@ def h_spec(**kw):
                 fixed={"p": 1, "q": 2, "tau": 0.25})
     base.update(kw)
     return StudySpec(**base)
+
+
+def delta_spec(**kw):
+    return StudySpec(kind="delta", case="smooth", sweep=[1e-3, 1e-2],
+                     fixed={"n": 3, "p": 1, "q": 2, "tau": 0.25}, **kw)
 
 
 class TestSpecValidation:
@@ -123,6 +129,7 @@ def test_summary_contents(h_result):
     s = h_result.summary
     assert s["kind"] == "h" and s["rows"] == 3
     assert s["n_dofs"] == [9, 25, 81]
+    assert s["n_dofs"] == [r["n_dof"] for r in h_result.rows]
     assert len(s["eoc_dt"]) == 2
     rows = h_result.rows
     for key in ("err_dt", "err_grad", "runtime_err_s"):
@@ -144,19 +151,20 @@ def test_csv_schema_and_reproducibility(h_result, tmp_path):
     assert strip(rows_a) == strip(rows_b)  # byte-identical minus timing
 
 
-def test_threaded_execution_matches_serial(h_result):
-    threaded = run_study(h_spec(sweep=[2, 4, 8]), threads=3)
-    assert len(threaded.rows) == len(h_result.rows)
-    for a, b in zip(h_result.rows, threaded.rows):
-        for col in CSV_COLUMNS:
-            if col != "runtime_s":
-                assert a[col] == b[col], col
+def test_threaded_execution_matches_serial(h_result, delta_result):
+    for serial in (h_result, delta_result):
+        threaded = run_study(serial.spec, threads=3)
+        assert len(threaded.rows) == len(serial.rows)
+        for a, b in zip(serial.rows, threaded.rows):
+            for col in CSV_COLUMNS:
+                if col != "runtime_s":
+                    assert a[col] == b[col], (serial.spec.kind, col)
 
 
 @pytest.mark.parametrize("kind", ["h", "delta"])
 def test_entries_scored_on_the_thread_that_can_score_them(monkeypatch, kind):
-    # an h entry is scored on the pool thread that solved it; a delta entry
-    # needs the baseline, which the main thread solves after the pool
+    # every entry is scored on the pool thread that solved it; a delta entry
+    # waits there for the baseline, the pool's first task
     scorers = []
 
     def recording(*args, **kwargs):
@@ -164,13 +172,31 @@ def test_entries_scored_on_the_thread_that_can_score_them(monkeypatch, kind):
         return err_linf_l2(*args, **kwargs)
 
     monkeypatch.setattr(studies, "err_linf_l2", recording)
-    spec = (h_spec(sweep=[2, 3, 4]) if kind == "h" else
-            StudySpec(kind="delta", case="smooth", sweep=[1e-3, 1e-2],
-                      fixed={"n": 3, "p": 1, "q": 2, "tau": 0.25}))
+    spec = h_spec(sweep=[2, 3, 4]) if kind == "h" else delta_spec()
     result = run_study(spec, threads=2)
     assert not result.failures and len(scorers) == 2 * len(result.rows)
-    on_main = [t is threading.main_thread() for t in scorers]
-    assert all(on_main) if kind == "delta" else not any(on_main)
+    assert not any(t is threading.main_thread() for t in scorers)
+
+
+def test_delta_baseline_solves_in_the_pool(monkeypatch):
+    solvers = []
+
+    def recording(cfg, *args, **kwargs):
+        solvers.append((cfg.case.delta, threading.current_thread()))
+        return run_problem(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(studies, "run_problem", recording)
+    result = run_study(delta_spec(), threads=2)
+    assert not result.failures
+    assert sorted(d for d, _ in solvers) == [0.0, 1e-3, 1e-2]
+    assert not any(t is threading.main_thread() for _, t in solvers)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_delta_baseline_failure_is_fatal(threads):
+    # every entry fails too, so only the baseline's own result can raise
+    with pytest.raises(SolverFailure):
+        run_study(delta_spec(case_overrides={"k": -2e4}), threads=threads)
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 
 import pytest
 
+import westfem.verify as verify
 from westfem.timefe import zeta
 from westfem.verify import SUITES, run_verify
 
@@ -20,11 +21,8 @@ def test_suite_inventory(verify_report):
         assert len(suite.checks) >= 1
 
 
-def test_report_serialization(verify_report):
-    d = verify_report.to_dict()
-    assert d["n_suites"] == len(SUITES)
-    assert d["n_failed"] == 0
-    assert all("checks" in s for s in d["suites"])
+def test_report_summary_lines(verify_report):
+    assert len(verify_report.suites) == len(SUITES)
     lines = verify_report.summary_lines()
     assert len(lines) == len(SUITES) + 1  # one per suite + summary
 
@@ -49,8 +47,7 @@ def test_unknown_filter_raises():
 # the harness must fail when the jump-control constant is wrong in either
 # direction; this guards the bound and the sharpness check simultaneously
 @pytest.mark.parametrize("factor", [2.0, 0.5])
-def test_injected_zeta_defect_is_caught(factor):
-    report = run_verify(
-        pattern="jump-control-bounds",
-        overrides={"jump-control-bounds": {"zeta_fn": lambda q: factor * zeta(q)}})
+def test_injected_zeta_defect_is_caught(monkeypatch, factor):
+    monkeypatch.setattr(verify, "zeta", lambda q: factor * zeta(q))
+    report = run_verify(pattern="jump-control-bounds")
     assert not report.passed
