@@ -8,7 +8,7 @@ the other two prescribe data only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
@@ -40,8 +40,20 @@ class ManufacturedCase:
     tau_default: Optional[float] = None
 
     def __post_init__(self):
+        for key in ("c", "k", "delta", "T"):
+            value = getattr(self, key)
+            if not _is_finite_real(value):
+                raise ValueError(f"case {self.name!r}: {key} must be a finite real number, "
+                                 f"got {value!r}")
+        if not self.c > 0 or self.delta < 0 or not self.T > 0:
+            raise ValueError(f"case {self.name!r}: need c > 0, delta >= 0 and T > 0; got "
+                             f"c={self.c}, delta={self.delta}, T={self.T}")
         if (self.u0 is None) != (self.u0_grad is None):
             raise ValueError(f"case {self.name!r}: give u0 and u0_grad together")
+
+
+def _is_finite_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and bool(np.isfinite(value))
 
 
 def smooth_case(A: float = 1e-2, omega: float = np.pi / 3.0, ell: float = np.pi,
@@ -117,8 +129,13 @@ CASES = {
 
 
 def get_case(label: str, **overrides) -> ManufacturedCase:
-    if label not in CASES:
+    """The case `label` with keyword parameters of its factory overridden;
+    every override value must be a finite real number."""
+    if not isinstance(label, str) or label not in CASES:
         raise ValueError(f"unknown case {label!r}; choose from {sorted(CASES)}")
+    bad = {key: value for key, value in overrides.items() if not _is_finite_real(value)}
+    if bad:
+        raise ValueError(f"case {label!r}: overrides must be finite real numbers, got {bad}")
     return CASES[label](**overrides)
 
 
@@ -152,7 +169,7 @@ class ProblemConfig:
         d = dict(d)
         label = d.pop("case")
         overrides = {key: d.pop(key) for key in ("delta", "k", "c", "T") if key in d}
-        case = get_case(label, **overrides) if isinstance(label, str) else label
+        case = get_case(label, **overrides)
         if "tau" not in d and case.tau_default is not None:
             d["tau"] = case.tau_default
         return cls(case=case, **d)

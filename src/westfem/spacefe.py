@@ -162,12 +162,20 @@ class ElementData:
     cell_dofs.T (nl, nt) and `grads_lqd` = grads_ref as (nl, nq, 2).
     Reference gradients come out component-major (2, nt, nq) and J^{-1} is
     applied by elementwise products; loads fold the weights into f before
-    contracting.  Each kernel forms the same products and sums them in the
-    same order as the element-major einsum it replaces, so results are equal
-    bit for bit (pinned in tests/test_spacefe.py).  `function_values` is a
-    BLAS matmul instead, which orders its sums differently: it agrees with
-    `function_values_multi` only to round-off, so a call site must not
-    switch between the two.
+    contracting.  The gradient load and the stiffness matrix are loops over
+    the quadrature points, each step vectorised over the elements.
+
+    Exactness rule: einsum adds the rounded products of each output entry one
+    at a time, in the order of its loops, so a kernel that forms the same
+    products and adds them in that order is equal bit for bit.  Every kernel
+    here keeps the order of the element-major einsum it replaces (pinned in
+    tests/test_spacefe.py).  Two einsum forms are traps: an operand made
+    contiguous along a summed axis lets einsum sum in a different order,
+    which changes bits, and `out=` into a buffer whose layout is not the one
+    einsum would pick is slower (about 2x for `function_values_multi` at
+    n = 32).  `function_values` is a BLAS matmul instead, which orders its
+    sums differently: it agrees with `function_values_multi` only to
+    round-off, so a call site must not switch between the two.
     """
 
     def __init__(self, space: FESpace, degree: int):
@@ -245,9 +253,21 @@ class ElementData:
 
     def assemble_gradient_load(self, g_qp: np.ndarray) -> np.ndarray:
         """(g, grad phi_i) for a vector field g at quadrature points; g_qp (nt, nq, 2)."""
-        gphys = np.einsum("qld,tde->tqle", self.grads_ref, self.jinv)
-        loc = np.einsum("tqe,q,tqle->tl", g_qp, self.w, gphys) * self.detj[:, None]
-        return self._scatter_loads(loc[None])[0]
+        return self._scatter_loads(self._gradient_load_rows(g_qp).T[None])[0]
+
+    def _gradient_load_rows(self, g_qp: np.ndarray) -> np.ndarray:
+        """Element rows (nl, nt) of the gradient load, one quadrature point at
+        a time: the order of einsum("tqe,q,tqle->tl", g, w, gphys) with
+        gphys = einsum("qld,tde->tqle", grads_ref, J^{-1})."""
+        gw = g_qp * self.w[None, :, None]
+        g, jinv = self.grads_ref, self.jinv
+        acc = np.zeros((g.shape[1], len(jinv)))
+        for q in range(len(self.w)):
+            # grad phi_l at q in physical coordinates, component e: (nl, nt)
+            p0 = g[q, :, 0, None] * jinv[:, 0, 0] + g[q, :, 1, None] * jinv[:, 1, 0]
+            p1 = g[q, :, 0, None] * jinv[:, 0, 1] + g[q, :, 1, None] * jinv[:, 1, 1]
+            acc += gw[:, q, 0] * p0 + gw[:, q, 1] * p1
+        return acc * self.detj
 
     def _scatter_loads(self, loc: np.ndarray) -> np.ndarray:
         """Sum element load rows (m, nt, nl) into global rows (m, n_dof).
@@ -278,11 +298,30 @@ def assemble_mass(space: FESpace) -> sp.csr_matrix:
 
 def assemble_stiffness(space: FESpace) -> sp.csr_matrix:
     """Global stiffness matrix (grad phi_j, grad phi_i)."""
-    ed = space.ed_lin
+    # the kernel's scratch arrays are freed before the scatter allocates
+    local = np.ascontiguousarray(_element_stiffness(space.ed_lin).transpose(2, 0, 1))
+    return _scatter(space, local)
+
+
+def _element_stiffness(ed: ElementData) -> np.ndarray:
+    """Element matrices (nl, nl, nt), one quadrature point at a time: the
+    order of einsum("q,qid,tdf,qjf->tij", w, grads_ref, C, grads_ref)."""
     # C_e = detJ * J^{-1} J^{-T}
     c = np.einsum("tde,tfe->tdf", ed.jinv, ed.jinv) * ed.detj[:, None, None]
-    local = np.einsum("q,qid,tdf,qjf->tij", ed.w, ed.grads_ref, c, ed.grads_ref)
-    return _scatter(space, local)
+    wg = ed.w[:, None, None] * ed.grads_ref
+    g = ed.grads_ref
+    nl = g.shape[1]
+    acc = np.zeros((nl, nl, len(c)))
+    point, term = np.empty_like(acc), np.empty_like(acc)
+    for q in range(len(ed.w)):
+        # (w_q g_qid C_df) g_qjf over (d, f) = 00, 01, 10, 11, summed left to right
+        for k, (d, f) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            wgc = wg[q, :, d, None] * c[:, d, f]
+            np.multiply(wgc[:, None, :], g[q, None, :, f, None], out=term if k else point)
+            if k:
+                point += term
+        acc += point
+    return acc
 
 
 def interpolate(space: FESpace, g) -> np.ndarray:
@@ -304,9 +343,15 @@ def ritz_project(space: FESpace, grad_g) -> np.ndarray:
 
 
 def evaluate(space: FESpace, coeffs: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Point evaluation of a FE function on the structured mesh."""
+    """Point evaluation of a FE function on the structured mesh; every point
+    must lie in the closed unit square."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    outside = ~((x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0))   # NaN included
+    if np.any(outside):
+        i = int(np.flatnonzero(outside)[0])
+        raise ValueError(f"{int(outside.sum())} point(s) outside [0, 1]^2, "
+                         f"first ({float(x[i])}, {float(y[i])})")
     n = space.mesh.n
     cx = np.clip(np.floor(x * n).astype(int), 0, n - 1)
     cy = np.clip(np.floor(y * n).astype(int), 0, n - 1)

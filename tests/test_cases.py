@@ -50,6 +50,28 @@ def test_case_overrides():
     assert verify_manufactured(case)["residual_rel"] < 1e-6
 
 
+@pytest.mark.parametrize("label,overrides", [
+    ("smooth", {"A": "x"}), ("smooth", {"k": None}), ("smooth", {"c": True}),
+    ("smooth", {"omega": float("inf")}), ("gaussian-pulse", {"a": np.nan}),
+], ids=["override-string", "override-none", "override-bool", "override-infinite",
+        "override-nan"])
+def test_get_case_rejects_bad_override(label, overrides):
+    with pytest.raises(ValueError, match="overrides"):
+        get_case(label, **overrides)
+
+
+@pytest.mark.parametrize("bad", [{"c": 0.0}, {"c": -1.0}, {"delta": -1e-9}, {"T": 0.0},
+                                 {"k": float("nan")}, {"c": "1"}, {"delta": None},
+                                 {"k": False}],
+                         ids=["c-zero", "c-negative", "delta-negative", "T-zero",
+                              "k-nan", "c-string", "delta-none", "k-bool"])
+def test_case_rejects_bad_coefficients(bad):
+    fields = {"name": "bad", "c": 1.0, "k": 0.0, "delta": 0.0, "T": 1.0,
+              "f": lambda x, y, t: 0.0 * x, **bad}
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        ManufacturedCase(**fields)
+
+
 def test_smooth_fast_is_smooth_with_higher_frequency():
     slow, fast = get_case("smooth"), get_case("smooth-fast")
     assert fast.c == slow.c and fast.k == slow.k

@@ -84,9 +84,13 @@ def test_missing_file_exits_1(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [{"tau": 0.3}, {"tau": 0}, {"n": 4.5}, {"p": 2.0},
-                                 {"q": 3.0}, {"s_max": 2}, {"tol": 1e-3}, {"guard": 0.5}],
+                                 {"q": 3.0}, {"s_max": 2}, {"tol": 1e-3}, {"guard": 0.5},
+                                 {"case": 5}, {"c": "1"}, {"k": None}, {"k": True},
+                                 {"delta": -1e-3}, {"c": 0}],
                          ids=["tau-does-not-divide-T", "tau-zero", "n-not-integer",
-                              "p-float", "q-float", "s_max-key", "tol-key", "guard-key"])
+                              "p-float", "q-float", "s_max-key", "tol-key", "guard-key",
+                              "case-not-a-label", "c-string", "k-null", "k-bool",
+                              "delta-negative", "c-zero"])
 def test_bad_config_exits_1(tmp_path, capsys, bad):
     cfg = write_json(tmp_path / "c.json",
                      {"case": "smooth", "n": 2, "p": 1, "q": 2, "tau": 0.25, **bad})
@@ -165,8 +169,13 @@ def test_study_failure_exits_2(tmp_path):
     {"kind": "h", "case": "smooth", "sweep": [2], "fixed": {"p": 2.0, "q": 2, "tau": 0.25}},
     {"kind": "h", "case": "smooth", "sweep": [2],
      "fixed": {"p": 1, "q": 2, "tau": 0.25, "tol": 1e-3}},
+    {"kind": "h", "case": "smooth", "sweep": [2], "fixed": {"p": 1, "q": 2, "tau": 0.25},
+     "case_overrides": {"A": "x"}},
+    {"kind": "h", "case": "smooth", "sweep": [2], "fixed": {"p": 1, "q": 2, "tau": 0.25},
+     "case_overrides": {"c": -1.0}},
 ], ids=["missing-sweep", "fixed-tau-zero", "fixed-unknown-key", "sweep-not-whole",
-        "delta-zero", "delta-negative", "fixed-p-float", "fixed-tol"])
+        "delta-zero", "delta-negative", "fixed-p-float", "fixed-tol",
+        "override-not-a-number", "override-c-negative"])
 def test_bad_study_spec_exits_1(tmp_path, capsys, spec):
     path = write_json(tmp_path / "s.json", spec)
     assert cli.main(["study", path, "--out", str(tmp_path / "r")]) == 1

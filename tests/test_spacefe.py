@@ -85,6 +85,18 @@ def test_interpolate_is_nodal(p):
     assert np.max(np.abs(coeffs - g(xc, yc))) < 1e-14
 
 
+@pytest.mark.parametrize("x,y", [(1.5, 0.5), (0.5, -1e-12), (np.nan, 0.5), (0.5, np.inf)],
+                         ids=["x-above-1", "y-below-0", "x-nan", "y-infinite"])
+def test_evaluate_rejects_points_outside_the_square(x, y):
+    space = make_space(4, 2)
+    g = interpolate(space, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+    with pytest.raises(ValueError, match="outside"):
+        evaluate(space, g, np.array([0.5, x]), np.array([0.5, y]))
+    # the closed square's corners and edges are inside
+    edge = evaluate(space, g, np.array([0.0, 1.0, 1.0, 0.5]), np.array([0.0, 1.0, 0.5, 1.0]))
+    assert np.max(np.abs(edge)) < 1e-15
+
+
 def test_evaluate_reproduces_fe_function():
     space = make_space(4, 2)
     g = interpolate(space, lambda x, y: (x - 0.2) * y + x * x)
@@ -130,8 +142,22 @@ def test_boundary_rows_fixed():
     assert np.array_equal(~free, on_bnd)
 
 
+@pytest.mark.parametrize("n,p", [(3, p) for p in range(1, 7)] + [(16, 2)])
+def test_stiffness_matches_einsum(n, p):
+    # the four-operand einsum the per-point kernel replaced, scattered by the
+    # same _scatter: the CSR arrays must be equal bit for bit
+    space = make_space(n, p)
+    ed = space.ed_lin
+    c = np.einsum("tde,tfe->tdf", ed.jinv, ed.jinv) * ed.detj[:, None, None]
+    local = np.einsum("q,qid,tdf,qjf->tij", ed.w, ed.grads_ref, c, ed.grads_ref)
+    ref = spacefe._scatter(space, local)
+    got = spacefe.assemble_stiffness(space)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
+
+
 def _kernel_cases():
-    for p in range(1, 6):
+    for p in range(1, 7):
         for deg in sorted({2 * p + 2, 3 * p + 2, max(2 * p + 2, 12)}):
             yield p, deg
 
