@@ -13,7 +13,7 @@ from .errors import DegenerateCoefficient, SolverFailure
 from .mesh import Mesh, mesh_size, unit_square_mesh
 from .projection import combined_project
 from .solution import DiscreteSolution
-from .solver import SolverReport, solve_westervelt
+from .solver import SolverReport, slab_residuals, solve_westervelt
 from .spacefe import FESpace, evaluate, interpolate, ritz_project
 from .studies import StudySpec, run_study, write_study_outputs
 from .timefe import TimePartition, zeta
@@ -48,6 +48,7 @@ __all__ = [
     "run_problem",
     "run_study",
     "run_verify",
+    "slab_residuals",
     "solve_westervelt",
     "unit_square_mesh",
     "verify_manufactured",

@@ -23,10 +23,10 @@ def err_linf_l2(sol: DiscreteSolution, ref, mode: str,
 
     mode "dt": error in the time derivative; mode "grad": error in the
     spatial gradient.  `ref` is a case with exact dtu/grad_u callables, or a
-    second DiscreteSolution on the same discretization (then norms are the
-    exact quadratic forms of the coefficient difference).  Times are sampled
-    uniformly per slab, endpoints included, so breakpoint values enter with
-    both one-sided limits.
+    second DiscreteSolution on the same space, q and breakpoints (then norms
+    are the exact quadratic forms of the coefficient difference).  Times are
+    sampled uniformly per slab, endpoints included, so breakpoint values
+    enter with both one-sided limits.
     """
     if mode not in ("dt", "grad"):
         raise ValueError(f"mode must be 'dt' or 'grad', got {mode!r}")
@@ -35,8 +35,8 @@ def err_linf_l2(sol: DiscreteSolution, ref, mode: str,
     deriv = 1 if mode == "dt" else 0
 
     if isinstance(ref, DiscreteSolution):
-        if ref.space is not space or ref.q != sol.q \
-                or ref.partition.n_slabs != sol.partition.n_slabs:
+        if ref.space is not space or ref.q != sol.q or not np.array_equal(
+                ref.partition.breakpoints, sol.partition.breakpoints):
             raise ValueError("discrete reference must share the discretization")
         form = space.mass if mode == "dt" else space.stiffness
         worst = 0.0

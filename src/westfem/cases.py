@@ -175,13 +175,12 @@ class ProblemConfig:
         return cls(case=case, **d)
 
 
-def run_problem(config: ProblemConfig, space: FESpace | None = None,
-                check_residual: bool = False):
+def run_problem(config: ProblemConfig, space: FESpace | None = None):
     """Solve a configured problem; returns (space, partition, solution, report)."""
     if space is None:
         space = FESpace(unit_square_mesh(config.n), config.p)
     part = TimePartition.uniform(config.case.T, config.tau)
-    sol, rep = solve_westervelt(space, part, config.q, config.case, check_residual=check_residual)
+    sol, rep = solve_westervelt(space, part, config.q, config.case)
     return space, part, sol, rep
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .spacefe import FESpace
-from .timefe import trial_basis
+from .spacefe import FESpace, ritz_project
+from .timefe import TimePartition, trial_basis
 
 
 def coupling_blocks(q: int, tau: float, c: float, delta: float):
@@ -44,15 +44,18 @@ def assemble_slab_lhs(space: FESpace, cm: np.ndarray, ck: np.ndarray) -> sp.csc_
 
 @dataclass
 class SlabState:
-    """Known data entering slab n: the shared start trace, its values at
-    the nonlinear quadrature points, and the assembled trace load.  For n = 1
-    the trace load is the weak initial-velocity term ((1+k u0) u1, phi); for
-    n >= 2 it is ((1+k u(t_{n-1})) dtu(t_{n-1}^-), phi)."""
+    """Everything known about slab n before it is solved: its start and length,
+    the start trace (also at the nonlinear quadrature points), the trace load
+    ((1+k u0) u1, phi) for n = 1 and ((1+k u(t_{n-1})) dtu(t_{n-1}^-), phi) for
+    n >= 2, and f's loads at the temporal nodes.  Built by first/next_state."""
 
     n: int                    # 1-based slab index
+    t_start: float
+    tau: float
     u_start: np.ndarray       # (n_dof,)
     u_start_q: np.ndarray     # (nt, nq), ed_nl.function_values(u_start)
     trace_load: np.ndarray    # (n_dof,)
+    f_loads: np.ndarray       # (2q, n_dof), SlabWorkspace.f_time_loads
 
 
 class SlabWorkspace:
@@ -78,21 +81,47 @@ class SlabWorkspace:
         return tau * (self.basis.test_w @ loads)
 
 
-def assemble_slab_rhs(ws: SlabWorkspace, state: SlabState, tau: float,
-                      f_loads: np.ndarray) -> np.ndarray:
+def first_state(ws: SlabWorkspace, partition: TimePartition) -> SlabState:
+    """Slab 1: u(0) is the Ritz projection of case.u0 through case.u0_grad, and
+    case.u1 enters weakly through ((1+k u0) u1, phi).  Zero data is None."""
+    space, case, ed = ws.space, ws.case, ws.ed_lin
+    u0 = np.zeros(space.n_dof) if case.u0_grad is None else ritz_project(space, case.u0_grad)
+    trace_load = np.zeros(space.n_dof)
+    if case.u1 is not None:
+        u0v = ed.sample(case.u0) if case.u0 is not None else 0.0
+        trace_load = ed.assemble_pointwise_load((1.0 + case.k * u0v) * ed.sample(case.u1))
+    t, tau = float(partition.breakpoints[0]), float(partition.taus[0])
+    return SlabState(1, t, tau, u0, ws.ed_nl.function_values(u0), trace_load,
+                     ws.f_time_loads(t, tau))
+
+
+def next_state(ws: SlabWorkspace, state: SlabState, modes: np.ndarray,
+               partition: TimePartition) -> SlabState:
+    """Slab n+1 from the solved modes (q, n_dof) of slab n = state.n: the
+    start trace u(t_n) and the trace load ((1+k u(t_n)) dtu(t_n^-), phi)."""
+    b, ed, n = ws.basis, ws.ed_nl, state.n
+    u_end = b.end_value(state.u_start, modes)
+    uq = ed.function_values(u_end)
+    vq = ed.function_values(b.rows(state.u_start, modes, 1.0, state.tau, deriv=1))
+    t, tau = float(partition.breakpoints[n]), float(partition.taus[n])
+    trace_load = ed.assemble_pointwise_load((1.0 + ws.case.k * uq) * vq)
+    return SlabState(n + 1, t, tau, u_end, uq, trace_load, ws.f_time_loads(t, tau))
+
+
+def assemble_slab_rhs(ws: SlabWorkspace, state: SlabState) -> np.ndarray:
     """Fixed part of the slab right-hand side (no lagged terms); (q, n_free)."""
-    space, c = ws.space, ws.case.c
-    rhs = ws.time_integrate(f_loads, tau)[:, space.free_dofs]
+    space, c, tau = ws.space, ws.case.c, state.tau
+    rhs = ws.time_integrate(state.f_loads, tau)[:, space.free_dofs]
     rhs += np.outer(ws.basis.test_start, state.trace_load[space.free_dofs])
     rhs[0] -= c * c * tau * (space.stiffness @ state.u_start)[space.free_dofs]
     return rhs
 
 
-def slab_fields(ws: SlabWorkspace, state: SlabState, tau: float, modal: np.ndarray):
+def slab_fields(ws: SlabWorkspace, state: SlabState, modal: np.ndarray):
     """Iterate given in full modal form (q+1, n_dof) at the nonlinear
     quadrature points: u, dt u and dtt u on the space-time grid (each
     (2q, nt, nq)), then dt u(t_{n-1}^+) in space (nt, nq)."""
-    b, ed = ws.basis, ws.ed_nl
+    b, ed, tau = ws.basis, ws.ed_nl, state.tau
     uq = ed.function_values_multi(b.values.T @ modal)
     dtq = ed.function_values_multi((b.ds.T @ modal) / tau)
     dttq = ed.function_values_multi((b.dss.T @ modal) / tau ** 2)
@@ -100,7 +129,7 @@ def slab_fields(ws: SlabWorkspace, state: SlabState, tau: float, modal: np.ndarr
     return uq, dtq, dttq, dtu0_q
 
 
-def lagged_rhs(ws: SlabWorkspace, state: SlabState, tau: float, modal: np.ndarray):
+def lagged_rhs(ws: SlabWorkspace, state: SlabState, modal: np.ndarray):
     """Lagged nonlinear terms -k (dt(u dtu), w) - k (u(t-) dtu(t+), w(t+))
     for the current iterate given in full modal form (q+1, n_dof).
 
@@ -108,25 +137,24 @@ def lagged_rhs(ws: SlabWorkspace, state: SlabState, tau: float, modal: np.ndarra
     minimum of 1 + k u over the slab's space-time quadrature grid.
     """
     ed, free, k = ws.ed_nl, ws.space.free_dofs, ws.case.k
-    uq, dtq, dttq, dtu0_q = slab_fields(ws, state, tau, modal)
+    uq, dtq, dttq, dtu0_q = slab_fields(ws, state, modal)
     coeff_min = float((1.0 + k * uq).min())
     # dt(u dtu) = (dtu)^2 + u dttu, exact for the polynomial integrand
     loads = ed.assemble_pointwise_load_multi(dtq * dtq + uq * dttq)
-    out = -k * ws.time_integrate(loads, tau)[:, free]
+    out = -k * ws.time_integrate(loads, state.tau)[:, free]
     tload = ed.assemble_pointwise_load(state.u_start_q * dtu0_q)[free]
     out -= k * np.outer(ws.basis.test_start, tload)
     return out, coeff_min
 
 
-def nonlinear_residual(ws: SlabWorkspace, state: SlabState, tau: float,
-                       modal: np.ndarray, f_loads: np.ndarray) -> np.ndarray:
+def nonlinear_residual(ws: SlabWorkspace, state: SlabState, modal: np.ndarray) -> np.ndarray:
     """Residual of the full nonlinear slab system at a slab polynomial given
     in modal form; assembled through the expanded identity
     dt((1+k u) dtu) = (1+k u) dttu + k (dtu)^2 rather than the lagged split.
     Returns (q, n_free)."""
-    b, ed, free = ws.basis, ws.ed_nl, ws.space.free_dofs
+    b, ed, free, tau = ws.basis, ws.ed_nl, ws.space.free_dofs, state.tau
     c, k, delta = ws.case.c, ws.case.k, ws.case.delta
-    uq, dtq, dttq, dtu0_q = slab_fields(ws, state, tau, modal)
+    uq, dtq, dttq, dtu0_q = slab_fields(ws, state, modal)
     loads = ed.assemble_pointwise_load_multi((1.0 + k * uq) * dttq + k * dtq * dtq)
     res = ws.time_integrate(loads, tau)[:, free]
 
@@ -139,6 +167,6 @@ def nonlinear_residual(ws: SlabWorkspace, state: SlabState, tau: float,
     res += c * c * tau * (b.a0 @ ku) + delta * (b.a1 @ ku)
 
     # data side
-    res -= ws.time_integrate(f_loads, tau)[:, free]
+    res -= ws.time_integrate(state.f_loads, tau)[:, free]
     res -= np.outer(b.test_start, state.trace_load[free])
     return res

@@ -18,10 +18,10 @@ from scipy.sparse.linalg import splu
 
 from .errors import DegenerateCoefficient, SolverFailure
 from . import slab
-from .slab import (SlabState, SlabWorkspace, assemble_slab_rhs, coupling_blocks,
-                   lagged_rhs, nonlinear_residual)
+from .slab import (SlabState, SlabWorkspace, assemble_slab_rhs, coupling_blocks, first_state,
+                   lagged_rhs, next_state, nonlinear_residual)
 from .solution import DiscreteSolution
-from .spacefe import FESpace, ritz_project
+from .spacefe import FESpace
 from .timefe import TimePartition
 
 # the fixed-point policy: at most S_MAX iterations per slab until the
@@ -36,7 +36,6 @@ class Factorization:
     slab length and shared by all slabs of that length on a fixed space."""
 
     def __init__(self, ws: SlabWorkspace, tau: float):
-        self.tau = tau
         # the LHS is built through the module binding, which the benchmark's
         # trace wraps (bench/westbench/layers.py)
         self._lu = splu(slab.assemble_slab_lhs(ws.space, *coupling_blocks(
@@ -52,7 +51,6 @@ class SlabSolveInfo:
     iterations: int
     increment: float
     coeff_min: float
-    residual: float = np.nan
 
 
 @dataclass
@@ -82,19 +80,20 @@ def _qn_norm(space, tau, modal):
     return float(np.sqrt(np.sum(weights * np.einsum("jd,jd->j", modal, mv))))
 
 
-def solve_slab_fixed_point(fact: Factorization, ws: SlabWorkspace, state: SlabState,
-                           f_loads: np.ndarray,
-                           check_residual: bool = False) -> tuple[np.ndarray, SlabSolveInfo]:
+def solve_slab_fixed_point(fact: Factorization, ws: SlabWorkspace,
+                           state: SlabState) -> tuple[np.ndarray, SlabSolveInfo]:
     """Solve one slab; returns (modes (q, n_dof), info).
 
     Raises DegenerateCoefficient if 1 + k u drops to GUARD or below on the
     slab's space-time quadrature grid, SolverFailure if the increment is
     still above TOL (relative L2(Q_n)) after S_MAX iterations.
     """
-    space, q, tau = ws.space, ws.basis.q, fact.tau
+    space, q, tau = ws.space, ws.basis.q, state.tau
     free = space.free_dofs
+    interval = (state.t_start, state.t_start + tau)
+    where = "slab {} (t in [{:g}, {:g}])".format(state.n, *interval)
 
-    rhs_const = assemble_slab_rhs(ws, state, tau, f_loads)
+    rhs_const = assemble_slab_rhs(ws, state)
 
     def embed(x):
         modes = np.zeros((q, space.n_dof))
@@ -106,12 +105,12 @@ def solve_slab_fixed_point(fact: Factorization, ws: SlabWorkspace, state: SlabSt
     info = SlabSolveInfo(slab=state.n, iterations=0, increment=np.inf, coeff_min=np.inf)
 
     for it in range(1, S_MAX + 1):
-        lag, coeff_min = lagged_rhs(ws, state, tau, modal)
+        lag, coeff_min = lagged_rhs(ws, state, modal)
         info.coeff_min = min(info.coeff_min, coeff_min)
         if coeff_min <= GUARD:
             raise DegenerateCoefficient(
-                f"coefficient 1 + k u reached {coeff_min:.3g} <= {GUARD} on slab {state.n}",
-                slab=state.n, coeff_min=coeff_min)
+                f"coefficient 1 + k u reached {coeff_min:.3g} <= {GUARD} on {where}",
+                slab=state.n, coeff_min=coeff_min, interval=interval)
         new_modes = embed(fact.solve((rhs_const + lag).ravel()))
         new_modal = ws.basis.to_modal(state.u_start, new_modes)
         num = _qn_norm(space, tau, new_modal - modal)
@@ -120,75 +119,50 @@ def solve_slab_fixed_point(fact: Factorization, ws: SlabWorkspace, state: SlabSt
         info.iterations = it
         info.increment = num / den if den > 0 else num
         if num <= TOL * den or num == 0.0:
-            break
-    else:
-        raise SolverFailure(
-            f"fixed-point iteration did not converge on slab {state.n} "
-            f"(relative increment {info.increment:.3e} after {S_MAX} iterations)",
-            slab=state.n, increment=info.increment)
-
-    if check_residual:
-        res = nonlinear_residual(ws, state, tau, modal, f_loads)
-        scale = max(np.abs(rhs_const).max(), 1e-300)
-        info.residual = float(np.abs(res).max() / scale)
-    return modes, info
+            return modes, info
+    raise SolverFailure(
+        f"fixed-point iteration did not converge on {where} "
+        f"(relative increment {info.increment:.3e} after {S_MAX} iterations)",
+        slab=state.n, increment=info.increment, interval=interval)
 
 
-def solve_westervelt(space: FESpace, partition: TimePartition, q: int, case,
-                     check_residual: bool = False) -> tuple[DiscreteSolution, SolverReport]:
-    """March the DG-CG scheme for `case` (a cases.ManufacturedCase) over all
-    slabs of `partition`.
-
-    Initial data: u(0) is the Ritz projection of case.u0 through its
-    gradient case.u0_grad, and case.u1 enters weakly through
-    ((1+k u0) u1, w(0)).  Zero data is None.
-    """
+def solve_westervelt(space: FESpace, partition: TimePartition, q: int,
+                     case) -> tuple[DiscreteSolution, SolverReport]:
+    """March the DG-CG scheme for `case` (a cases.ManufacturedCase) over the slabs
+    of `partition`; slab.first_state and slab.next_state build each slab's data."""
     if q < 2:
         raise ValueError(f"the scheme needs temporal degree q >= 2, got {q}")
     t_start = time.perf_counter()
     ws = SlabWorkspace(space, q, case)
-    k = case.k
-
-    ustart = (np.zeros(space.n_dof) if case.u0_grad is None
-              else ritz_project(space, case.u0_grad))
-
-    # weak initial-velocity load ((1+k u0) u1, phi) from the exact data
-    ed = ws.ed_lin
-    trace_load = np.zeros(space.n_dof)
-    if case.u1 is not None:
-        u0v = ed.sample(case.u0) if case.u0 is not None else 0.0
-        trace_load = ed.assemble_pointwise_load((1.0 + k * u0v) * ed.sample(case.u1))
-
     report = SolverReport()
     factors: dict[float, Factorization] = {}
     all_modes = np.empty((partition.n_slabs, q, space.n_dof))
-    sol_bp = ustart
-    state = SlabState(n=1, u_start=ustart, u_start_q=ws.ed_nl.function_values(ustart),
-                      trace_load=trace_load)
+    state = start = first_state(ws, partition)
 
-    for n in range(1, partition.n_slabs + 1):
-        tau = float(partition.taus[n - 1])
-        if tau in factors:
-            report.factorization_reuses += 1
-        else:
-            factors[tau] = Factorization(ws, tau)
-            report.n_factorizations += 1
-
-        f_loads = ws.f_time_loads(float(partition.breakpoints[n - 1]), tau)
-        modes, info = solve_slab_fixed_point(factors[tau], ws, state, f_loads,
-                                             check_residual=check_residual)
+    for n in range(partition.n_slabs):
+        if n > 0:
+            state = next_state(ws, state, all_modes[n - 1], partition)
+        if state.tau not in factors:
+            factors[state.tau] = Factorization(ws, state.tau)
+        all_modes[n], info = solve_slab_fixed_point(factors[state.tau], ws, state)
         report.slabs.append(info)
-        all_modes[n - 1] = modes
 
-        # hand the traces to the next slab
-        if n < partition.n_slabs:
-            v_minus = ws.basis.rows(sol_bp, modes, 1.0, tau, deriv=1)
-            sol_bp = ws.basis.end_value(sol_bp, modes)
-            uq = ws.ed_nl.function_values(sol_bp)
-            vq = ws.ed_nl.function_values(v_minus)
-            tl = ws.ed_nl.assemble_pointwise_load((1.0 + k * uq) * vq)
-            state = SlabState(n=n + 1, u_start=sol_bp, u_start_q=uq, trace_load=tl)
-
-    sol = DiscreteSolution(space, partition, q, all_modes, ustart)
+    report.n_factorizations = len(factors)
+    report.factorization_reuses = partition.n_slabs - len(factors)
+    sol = DiscreteSolution(space, partition, q, all_modes, start.u_start)
     report.runtime_s = time.perf_counter() - t_start
     return sol, report
+
+
+def slab_residuals(sol: DiscreteSolution, case) -> list[float]:
+    """Residual of the full nonlinear system (slab.nonlinear_residual) on each
+    slab of a finished solution, as max |residual| / max |fixed RHS|."""
+    ws = SlabWorkspace(sol.space, sol.q, case)
+    state, out = first_state(ws, sol.partition), []
+    for n in range(sol.partition.n_slabs):
+        if n > 0:
+            state = next_state(ws, state, sol.modes[n - 1], sol.partition)
+        res = nonlinear_residual(ws, state, sol.modal(n))
+        scale = max(np.abs(assemble_slab_rhs(ws, state)).max(), 1e-300)
+        out.append(float(np.abs(res).max() / scale))
+    return out

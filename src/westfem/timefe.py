@@ -28,8 +28,17 @@ class TimePartition:
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
-        if bp.ndim != 1 or bp.size < 2 or np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing, length >= 2")
+        if bp.ndim != 1 or bp.size < 2 or not np.all(np.isfinite(bp)) or np.any(np.diff(bp) <= 0):
+            raise ValueError("breakpoints must be finite and strictly increasing, length >= 2")
+        if bp[0] != 0.0:
+            raise ValueError(f"the first breakpoint is t_0 = 0, got {bp[0]}")
+        taus = np.asarray(self.taus, dtype=float)
+        # the tolerance of `uniform`, so its shared tau passes
+        if taus.shape != (bp.size - 1,) or np.any(
+                np.abs(taus - np.diff(bp)) > 1e-12 * max(1.0, bp[-1])):
+            raise ValueError("taus must be the slab lengths np.diff(breakpoints)")
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "taus", taus)
 
     @classmethod
     def uniform(cls, T: float, tau: float) -> "TimePartition":

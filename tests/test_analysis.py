@@ -111,6 +111,22 @@ def test_jump_functional_reduces_to_traces_for_exact_polynomial():
     assert jump_functional(sol) == pytest.approx(expect, rel=1e-9)
 
 
+def test_discrete_reference_must_share_breakpoints():
+    from westfem.solver import solve_westervelt
+    from westfem.timefe import TimePartition
+
+    case = get_case("smooth")
+    space, uniform, sol, _ = run_problem(ProblemConfig(case=case, n=3, p=2, q=3, tau=0.25))
+    graded = TimePartition.from_breakpoints([0.0, 0.2, 0.45, 0.7, 1.0])
+    other, _ = solve_westervelt(space, graded, 3, case)
+    assert other.partition.n_slabs == uniform.n_slabs
+    for mode in ("dt", "grad"):
+        with pytest.raises(ValueError):
+            err_linf_l2(sol, other, mode)
+    same, _ = solve_westervelt(space, TimePartition.uniform(1.0, 0.25), 3, case)
+    assert err_linf_l2(sol, same, "dt") == 0.0
+
+
 def test_energy_norm_positive_and_monotone_in_delta(smooth_run):
     _, _, sol, _ = smooth_run
     e0 = energy_norm(sol, c=1.0, delta=0.0)

@@ -1,6 +1,8 @@
 """Spatial quadrature stays behind spacefe: outside it no module reads the
 geometry or weights of an ElementData, and no element_data call spells out
-a rule degree (callers use FESpace.ed_lin, ed_nl, ed_err)."""
+a rule degree (callers use FESpace.ed_lin, ed_nl, ed_err).  The data a slab
+starts from is decided in slab.py alone: no other module constructs a
+SlabState."""
 
 import ast
 from pathlib import Path
@@ -32,3 +34,24 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_quadrature_internals_outside_spacefe(path):
     assert _violations(path) == []
+
+
+def _slab_state_calls(path: Path) -> list:
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "SlabState":
+                out.append(f"line {node.lineno}: constructs SlabState")
+    return out
+
+
+def test_slab_state_built_in_slab_py():
+    assert _slab_state_calls(SRC / "slab.py")
+
+
+@pytest.mark.parametrize("path", [p for p in SRC.glob("*.py") if p.name != "slab.py"],
+                         ids=lambda p: p.stem)
+def test_slab_state_constructed_only_in_slab_py(path):
+    assert _slab_state_calls(path) == []

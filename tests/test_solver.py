@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from westfem.errors import DegenerateCoefficient
+from westfem import solver
+from westfem.errors import DegenerateCoefficient, SolverFailure
 from westfem.cases import ManufacturedCase, get_case, run_problem, ProblemConfig
 from westfem.mesh import unit_square_mesh
-from westfem.slab import SlabWorkspace
-from westfem.solver import solve_westervelt
+from westfem.slab import SlabWorkspace, first_state, next_state
+from westfem.solution import DiscreteSolution
+from westfem.solver import slab_residuals, solve_westervelt
 from westfem.spacefe import FESpace, interpolate
 from westfem.timefe import TimePartition
 
@@ -35,7 +37,7 @@ def test_polynomial_solution_is_exact(part):
         return 2.0 * bubble(x, y) - (c * c * t * t + 2 * delta * t) * lap_bubble(x, y)
 
     case = ManufacturedCase(name="t2-bubble", c=c, k=0.0, delta=delta, T=1.0, f=f)
-    sol, rep = solve_westervelt(space, part, 3, case, check_residual=True)
+    sol, rep = solve_westervelt(space, part, 3, case)
 
     w = interpolate(space, bubble)
     for t in (0.25, 0.6, 1.0):
@@ -43,7 +45,7 @@ def test_polynomial_solution_is_exact(part):
         assert np.max(np.abs(err)) < 1e-11, t
         err_dt = sol.dt(t, side="left") - 2 * t * w
         assert np.max(np.abs(err_dt)) < 1e-10, t
-    assert max(info.residual for info in rep.slabs) < 1e-9
+    assert max(slab_residuals(sol, case)) < 1e-9
     distinct = np.unique(part.taus).size
     assert rep.n_factorizations == distinct
     assert rep.factorization_reuses == part.n_slabs - distinct
@@ -75,7 +77,24 @@ def test_degenerate_coefficient_raises():
     cfg = ProblemConfig(case=get_case("smooth", k=-2e4), n=3, p=1, q=2, tau=0.25)
     with pytest.raises(DegenerateCoefficient) as exc_info:
         run_problem(cfg)
-    assert exc_info.value.coeff_min <= 0.1
+    exc = exc_info.value
+    assert exc.coeff_min <= 0.1
+    t0, t1 = 0.25 * (exc.slab - 1), 0.25 * exc.slab
+    assert exc.interval == pytest.approx((t0, t1), abs=1e-15)
+    assert f"slab {exc.slab} (t in [{t0:g}, {t1:g}])" in str(exc)
+
+
+def test_solver_failure_names_slab_and_interval(monkeypatch):
+    # one fixed-point iteration cannot reach TOL on a nonlinear slab
+    monkeypatch.setattr(solver, "S_MAX", 1)
+    cfg = ProblemConfig(case=get_case("smooth"), n=3, p=2, q=2, tau=0.25)
+    with pytest.raises(SolverFailure) as exc_info:
+        run_problem(cfg)
+    exc = exc_info.value
+    assert type(exc) is SolverFailure
+    assert exc.slab == 1 and exc.interval == (0.0, 0.25)
+    assert exc.increment > solver.TOL
+    assert "slab 1 (t in [0, 0.25])" in str(exc)
 
 
 def test_factorization_reused_on_uniform_partition():
@@ -104,8 +123,47 @@ def test_deterministic_rerun():
 
 def test_galerkin_residual_small_on_nonlinear_run():
     cfg = ProblemConfig(case=get_case("smooth"), n=4, p=2, q=3, tau=0.25)
-    _, _, _, rep = run_problem(cfg, check_residual=True)
-    assert max(info.residual for info in rep.slabs) < 1e-9
+    _, _, sol, _ = run_problem(cfg)
+    assert max(slab_residuals(sol, cfg.case)) < 1e-9
+
+
+@pytest.mark.parametrize("bad", [1, 2])
+def test_slab_residuals_flag_a_perturbed_slab(bad):
+    cfg = ProblemConfig(case=get_case("smooth"), n=4, p=2, q=3, tau=0.25)
+    space, part, sol, _ = run_problem(cfg)
+    modes = sol.modes.copy()
+    modes[bad] *= 1.0 + 1e-6
+    res = slab_residuals(DiscreteSolution(space, part, 3, modes, sol.bp_values[0]), cfg.case)
+    assert len(res) == part.n_slabs
+    assert max(res[:bad]) < 1e-9
+    assert res[bad] > 1e-8
+
+
+def test_next_state_hands_off_traces():
+    case = get_case("smooth")
+    part = TimePartition.from_breakpoints([0.0, 0.25, 0.5, 0.6, 1.0])
+    space = FESpace(unit_square_mesh(4), 2)
+    sol, _ = solve_westervelt(space, part, 3, case)
+    ws = SlabWorkspace(space, 3, case)
+    ed = space.ed_nl
+    state = first_state(ws, part)
+    assert (state.n, state.t_start, state.tau) == (1, 0.0, 0.25)
+    assert np.array_equal(state.u_start, sol.bp_values[0])
+    for n in range(part.n_slabs - 1):
+        state = next_state(ws, state, sol.modes[n], part)
+        assert (state.n, state.t_start, state.tau) == (n + 2, part.breakpoints[n + 1],
+                                                        part.taus[n + 1])
+        assert np.allclose(state.u_start, sol.bp_values[n + 1], rtol=0, atol=1e-14)
+        assert np.allclose(state.u_start_q, ed.function_values(sol.bp_values[n + 1]),
+                           rtol=0, atol=1e-14)
+        # ((1 + k u(t_n)) dtu(t_n^-), phi) from the solution's own traces
+        uq = ed.function_values(sol.bp_values[n + 1])
+        load = ed.assemble_pointwise_load((1.0 + case.k * uq)
+                                          * ed.function_values(sol.dt_slab(n, 1.0)))
+        assert np.allclose(state.trace_load, load, rtol=0,
+                           atol=1e-13 * np.abs(load).max())
+        assert np.array_equal(state.f_loads,
+                              ws.f_time_loads(part.breakpoints[n + 1], part.taus[n + 1]))
 
 
 def test_longtime_large_steps_stay_bounded():

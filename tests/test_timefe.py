@@ -23,6 +23,33 @@ def test_uniform_partition_rejects_non_divisor():
         TimePartition.uniform(1.0, -0.1)
 
 
+@pytest.mark.parametrize("bp", [[0.0, np.nan, 1.0], [0.0, 0.5, np.inf], [0.0, 1.0, np.nan],
+                                [0.1, 0.5, 1.0], [-0.5, 0.5, 1.0]],
+                         ids=["nan", "inf", "nan-end", "late-start", "early-start"])
+def test_partition_rejects_bad_breakpoints(bp):
+    with pytest.raises(ValueError):
+        TimePartition.from_breakpoints(bp)
+
+
+@pytest.mark.parametrize("taus", [[0.5, 0.4], [0.5], [0.5, 0.5, 0.0], [0.5, 0.5 + 1e-9]],
+                         ids=["wrong-value", "too-few", "too-many", "off-by-1e-9"])
+def test_partition_rejects_taus_off_the_breakpoints(taus):
+    with pytest.raises(ValueError):
+        TimePartition(np.array([0.0, 0.5, 1.0]), np.array(taus))
+
+
+def test_partition_from_lists_stores_arrays():
+    part = TimePartition([0.0, 0.5, 1.0], [0.5, 0.5])
+    assert part.n_slabs == 2 and part.T == 1.0
+    assert part.locate(0.75) == (1, 0.5)
+
+
+@pytest.mark.parametrize("T, tau", [(1.0, 0.1), (10.0, 0.2), (0.3, 0.1), (2.5, 0.05)])
+def test_uniform_partition_taus_pass_the_check(T, tau):
+    part = TimePartition.uniform(T, tau)
+    assert np.all(part.taus == tau)
+
+
 def test_locate():
     part = TimePartition.from_breakpoints([0.0, 0.4, 1.0])
     n, s = part.locate(0.7)
