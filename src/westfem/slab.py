@@ -134,13 +134,19 @@ def lagged_rhs(ws: SlabWorkspace, state: SlabState, modal: np.ndarray):
     for the current iterate given in full modal form (q+1, n_dof).
 
     Returns (rhs_contribution (q, n_free), coeff_min) where coeff_min is the
-    minimum of 1 + k u over the slab's space-time quadrature grid.
+    minimum of 1 + k u over the slab's space-time quadrature grid.  Rounding
+    is monotone, so that minimum is exactly 1 + k min(u) for k >= 0 and
+    1 + k max(u) for k < 0 (NaN if u has a NaN).
     """
     ed, free, k = ws.ed_nl, ws.space.free_dofs, ws.case.k
     uq, dtq, dttq, dtu0_q = slab_fields(ws, state, modal)
-    coeff_min = float((1.0 + k * uq).min())
-    # dt(u dtu) = (dtu)^2 + u dttu, exact for the polynomial integrand
-    loads = ed.assemble_pointwise_load_multi(dtq * dtq + uq * dttq)
+    coeff_min = 1.0 + k * float(uq.min() if k >= 0 else uq.max())
+    # dt(u dtu) = (dtu)^2 + u dttu, exact for the polynomial integrand; formed
+    # in place on the fields, which keep their (nq, nt, m) memory layout
+    dttq *= uq
+    dtq *= dtq
+    dtq += dttq
+    loads = ed.assemble_pointwise_load_multi(dtq)
     out = -k * ws.time_integrate(loads, state.tau)[:, free]
     tload = ed.assemble_pointwise_load(state.u_start_q * dtu0_q)[free]
     out -= k * np.outer(ws.basis.test_start, tload)

@@ -73,20 +73,22 @@ class SolverReport:
         return int(np.max(self.iterations)) if self.slabs else 0
 
 
-def _qn_norm(space, tau, modal):
-    """L2(Q_n) norm from full modal coefficients (mass-weighted)."""
-    weights = tau / (2.0 * np.arange(modal.shape[0]) + 1.0)
-    mv = (space.mass @ modal.T).T
-    return float(np.sqrt(np.sum(weights * np.einsum("jd,jd->j", modal, mv))))
+def _qn_norms(space, tau, *modals):
+    """L2(Q_n) norms of full modal coefficients (mass-weighted), one mass
+    product for all of them; each equals its own single-argument call."""
+    rows = np.concatenate(modals)
+    weights = tau / (2.0 * np.arange(modals[0].shape[0]) + 1.0)
+    sq = np.einsum("jd,jd->j", rows, (space.mass @ rows.T).T).reshape(len(modals), -1)
+    return [float(np.sqrt(np.sum(weights * s))) for s in sq]
 
 
 def solve_slab_fixed_point(fact: Factorization, ws: SlabWorkspace,
                            state: SlabState) -> tuple[np.ndarray, SlabSolveInfo]:
     """Solve one slab; returns (modes (q, n_dof), info).
 
-    Raises DegenerateCoefficient if 1 + k u drops to GUARD or below on the
-    slab's space-time quadrature grid, SolverFailure if the increment is
-    still above TOL (relative L2(Q_n)) after S_MAX iterations.
+    Raises DegenerateCoefficient if 1 + k u drops to GUARD or below, or is
+    NaN, on the slab's space-time quadrature grid, SolverFailure if the
+    increment is still above TOL (relative L2(Q_n)) after S_MAX iterations.
     """
     space, q, tau = ws.space, ws.basis.q, state.tau
     free = space.free_dofs
@@ -107,14 +109,13 @@ def solve_slab_fixed_point(fact: Factorization, ws: SlabWorkspace,
     for it in range(1, S_MAX + 1):
         lag, coeff_min = lagged_rhs(ws, state, modal)
         info.coeff_min = min(info.coeff_min, coeff_min)
-        if coeff_min <= GUARD:
+        if not coeff_min > GUARD:                 # NaN included
             raise DegenerateCoefficient(
-                f"coefficient 1 + k u reached {coeff_min:.3g} <= {GUARD} on {where}",
+                f"coefficient 1 + k u reached {coeff_min:.3g}, not above {GUARD}, on {where}",
                 slab=state.n, coeff_min=coeff_min, interval=interval)
         new_modes = embed(fact.solve((rhs_const + lag).ravel()))
         new_modal = ws.basis.to_modal(state.u_start, new_modes)
-        num = _qn_norm(space, tau, new_modal - modal)
-        den = _qn_norm(space, tau, new_modal)
+        num, den = _qn_norms(space, tau, new_modal - modal, new_modal)
         modes, modal = new_modes, new_modal
         info.iterations = it
         info.increment = num / den if den > 0 else num

@@ -161,9 +161,15 @@ class ElementData:
     two contiguous copies next to the natural layouts: `gdofs_lt` =
     cell_dofs.T (nl, nt) and `grads_lqd` = grads_ref as (nl, nq, 2).
     Reference gradients come out component-major (2, nt, nq) and J^{-1} is
-    applied by elementwise products; loads fold the weights into f before
-    contracting.  The gradient load and the stiffness matrix are loops over
-    the quadrature points, each step vectorised over the elements.
+    applied by elementwise products.  Loads fold the weights into f in
+    Fortran order, which is the C-contiguous (nq, nt, m) layout, and contract
+    over q on the element-last (nq, nt*m) view of that product, so einsum's
+    inner loop runs over elements.  The outputs of `function_values_multi`,
+    and products of them, are already laid out (nq, nt, m) in memory, so the
+    lagged loads are read in order.  A load kernel never writes into f_qp,
+    which may be a read-only broadcast from `sample`.  The gradient load and
+    the stiffness matrix are loops over the quadrature points, each step
+    vectorised over the elements.
 
     Exactness rule: einsum adds the rounded products of each output entry one
     at a time, in the order of its loops, so a kernel that forms the same
@@ -248,7 +254,10 @@ class ElementData:
 
     def assemble_pointwise_load_multi(self, f_qp: np.ndarray) -> np.ndarray:
         """Batched load assembly; f_qp (m, nt, nq) -> (m, n_dof)."""
-        loc = np.einsum("mtq,qi->mti", f_qp * self.w, self.vals) * self.detj[None, :, None]
+        m, nt, nq = f_qp.shape
+        fw = np.multiply(f_qp, self.w, order="F").T.reshape(nq, nt * m)
+        loc = np.einsum("qk,qi->ik", fw, self.vals).reshape(-1, nt, m).T
+        loc *= self.detj[None, :, None]
         return self._scatter_loads(loc)
 
     def assemble_gradient_load(self, g_qp: np.ndarray) -> np.ndarray:

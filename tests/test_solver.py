@@ -7,7 +7,7 @@ from westfem import solver
 from westfem.errors import DegenerateCoefficient, SolverFailure
 from westfem.cases import ManufacturedCase, get_case, run_problem, ProblemConfig
 from westfem.mesh import unit_square_mesh
-from westfem.slab import SlabWorkspace, first_state, next_state
+from westfem.slab import SlabWorkspace, first_state, lagged_rhs, next_state, slab_fields
 from westfem.solution import DiscreteSolution
 from westfem.solver import slab_residuals, solve_westervelt
 from westfem.spacefe import FESpace, interpolate
@@ -82,6 +82,49 @@ def test_degenerate_coefficient_raises():
     t0, t1 = 0.25 * (exc.slab - 1), 0.25 * exc.slab
     assert exc.interval == pytest.approx((t0, t1), abs=1e-15)
     assert f"slab {exc.slab} (t in [{t0:g}, {t1:g}])" in str(exc)
+
+
+def test_nan_coefficient_stops_at_the_guard(monkeypatch):
+    # A = 1e140 overflows the first lagged load, so the next iterate is NaN;
+    # a NaN 1 + k u must trip the guard at once instead of running S_MAX
+    # iterations into a SolverFailure with a NaN increment
+    calls = []
+
+    def counted(ws, state, modal):
+        calls.append(np.isfinite(modal).all())
+        return lagged_rhs(ws, state, modal)
+
+    monkeypatch.setattr(solver, "lagged_rhs", counted)
+    cfg = ProblemConfig(case=get_case("smooth", A=1e140), n=4, p=1, q=2, tau=0.5)
+    with pytest.raises(DegenerateCoefficient) as exc_info, np.errstate(all="ignore"):
+        run_problem(cfg)
+    exc = exc_info.value
+    assert np.isnan(exc.coeff_min) and "reached nan, not above 0.1" in str(exc)
+    assert exc.slab == 1 and exc.interval == (0.0, 0.5)
+    assert calls == [True, False]
+
+
+@pytest.mark.parametrize("k", [0.5, -10.0, 0.0])
+def test_lagged_coeff_min_is_the_grid_minimum(k):
+    # 1 + k min(u) (k >= 0) or 1 + k max(u) (k < 0) is min(1 + k u) exactly
+    case = get_case("smooth", k=k)
+    space = FESpace(unit_square_mesh(4), 2)
+    ws = SlabWorkspace(space, 3, case)
+    sol, _ = solve_westervelt(space, TimePartition.uniform(1.0, 0.5), 3, case)
+    state = first_state(ws, sol.partition)
+    for n in range(sol.partition.n_slabs):
+        if n > 0:
+            state = next_state(ws, state, sol.modes[n - 1], sol.partition)
+        uq = slab_fields(ws, state, sol.modal(n))[0]
+        assert lagged_rhs(ws, state, sol.modal(n))[1] == float((1.0 + k * uq).min())
+
+
+def test_stacked_qn_norms_equal_separate_calls():
+    space = FESpace(unit_square_mesh(5), 3)
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((2, 4, space.n_dof))
+    pair = solver._qn_norms(space, 0.3, b - a, b)
+    assert pair == solver._qn_norms(space, 0.3, b - a) + solver._qn_norms(space, 0.3, b)
 
 
 def test_solver_failure_names_slab_and_interval(monkeypatch):

@@ -210,6 +210,39 @@ def test_kernels_match_element_major_einsum(p, deg):
     assert np.array_equal(ed.assemble_gradient_load(field), ref)
 
 
+@pytest.mark.parametrize("n,p,deg", [(3, 1, 5), (4, 2, 8), (2, 5, 17)])
+def test_load_kernel_on_every_caller_layout(n, p, deg):
+    # the load kernel contracts on an element-last view whose cost depends on
+    # the memory layout of f_qp; the result must not: each layout a caller
+    # passes equals the element-major einsum with an inline np.add.at scatter
+    space = make_space(n, p)
+    ed = space.element_data(deg)
+    rng = np.random.default_rng(deg)
+
+    def ref(f_qp):
+        loc = np.einsum("mtq,q,qi->mti", f_qp, ed.w, ed.vals) * ed.detj[None, :, None]
+        out = np.zeros((len(loc), space.n_dof))
+        for row, lrow in zip(out, loc):
+            np.add.at(row, space.cell_dofs.ravel(), lrow.ravel())
+        return out
+
+    a = ed.function_values_multi(rng.standard_normal((6, space.n_dof)))
+    b = ed.function_values_multi(rng.standard_normal((6, space.n_dof)))
+    lagged = a * a + b * a                           # laid out (nq, nt, m)
+    assert lagged.strides[0] < lagged.strides[1] < lagged.strides[2]
+    contiguous = rng.standard_normal((3,) + ed.wdetj.shape)
+    standing = get_case("standing-wave")             # f ignores t: a broadcast view
+    broadcast = ed.sample(standing.f, np.array([0.0, 0.1, 0.2]))
+    assert not broadcast.flags.writeable
+    nt, nq = ed.wdetj.shape
+    strided = rng.standard_normal((4, nt, 2 * nq))[:, :, ::2]
+    for f_qp in (lagged, contiguous, broadcast, strided, lagged[::2]):
+        before = f_qp.copy()
+        assert np.array_equal(ed.assemble_pointwise_load_multi(f_qp), ref(f_qp))
+        assert np.array_equal(ed.assemble_pointwise_load(f_qp[1]), ref(f_qp[1:2])[0])
+        assert np.array_equal(f_qp, before)
+
+
 @pytest.mark.parametrize("label", ["smooth", "smooth-fast", "standing-wave", "gaussian-pulse"])
 def test_vector_time_sample_stacks_scalar_time_samples(label):
     # every time-dependent callable of the case, vector fields included and

@@ -1,0 +1,141 @@
+"""Dump, or compare, the numbers that a bit-for-bit change must keep.
+
+    PYTHONPATH=<tree>/src python tools/samebits.py dump OUT.npz
+    python tools/samebits.py compare A.npz B.npz
+
+`dump` solves a fixed set of small configurations with the westfem found on
+the path (run it once per source tree, each with its own PYTHONPATH) and
+writes, per configuration, the solution modes and breakpoint values, the
+per-slab iterations, increments and guard margins `coeff_min`, and both
+error functionals where the case has a closed-form solution; then the rows
+of a small `h` and `delta` study, every cell except the timings.
+`compare` checks every array of A against B with np.array_equal (NaN equal
+to NaN), prints each key that is missing or differs, and exits 1 if any
+does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+import numpy as np
+
+# name -> (case label, case overrides, n, p, q, tau or the slab breakpoints)
+SOLVES = {
+    "smooth": ("smooth", {}, 4, 2, 3, 0.25),
+    "smooth-fast-p5": ("smooth-fast", {}, 3, 5, 3, 0.125),
+    "standing-wave": ("standing-wave", {}, 4, 2, 2, 0.25),
+    "gaussian-pulse": ("gaussian-pulse", {"T": 4e-5}, 16, 2, 3, 1e-5),
+    "graded": ("smooth", {}, 4, 2, 3, [0.0, 0.25, 0.5, 0.6, 1.0]),
+    "k-negative": ("smooth", {"k": -2.0}, 4, 3, 2, 0.25),
+}
+
+STUDIES = {
+    "h": dict(kind="h", case="smooth", sweep=[2, 4], fixed={"p": 2, "q": 3, "tau": 0.25}),
+    "delta": dict(kind="delta", case="smooth", sweep=[1e-3, 1e-2],
+                  fixed={"n": 4, "p": 2, "q": 2, "tau": 0.25}),
+}
+
+TIMINGS = ("runtime_s", "runtime_err_s")
+
+
+def _solve(wf, label, overrides, n, p, q, steps):
+    case = wf.get_case(label, **overrides)
+    part = (wf.TimePartition.uniform(case.T, steps) if np.ndim(steps) == 0
+            else wf.TimePartition.from_breakpoints(steps))
+    space = wf.FESpace(wf.unit_square_mesh(n), p)
+    sol, rep = wf.solve_westervelt(space, part, q, case)
+    out = {"modes": sol.modes, "bp_values": sol.bp_values,
+           "iterations": np.array(rep.iterations),
+           "increments": np.array([s.increment for s in rep.slabs]),
+           "coeff_min": np.array([s.coeff_min for s in rep.slabs])}
+    if case.u is not None:
+        for mode in ("dt", "grad"):
+            out[f"err_{mode}"] = np.array(wf.err_linf_l2(sol, case, mode))
+    return out
+
+
+def _column(values):
+    if all(isinstance(v, str) for v in values):
+        return np.array(values)
+    return np.array([np.nan if v is None else v for v in values], dtype=float)
+
+
+def collect() -> dict:
+    """Every dumped array by key, from the westfem on the import path."""
+    import westfem as wf
+
+    out = {}
+    for name, args in SOLVES.items():
+        for key, arr in _solve(wf, *args).items():
+            out[f"{name}/{key}"] = np.asarray(arr)
+    for name, spec in STUDIES.items():
+        result = wf.run_study(wf.StudySpec(**spec))
+        if result.failures:
+            raise RuntimeError(f"{name} study failed: {result.failures}")
+        for col in result.rows[0]:
+            if col not in TIMINGS:
+                out[f"study-{name}/{col}"] = _column([r[col] for r in result.rows])
+    return out
+
+
+def dump(path) -> dict:
+    arrays = collect()
+    np.savez(path, **arrays)
+    return arrays
+
+
+def mismatches(a: dict, b: dict) -> list:
+    """One line per key that is missing from either side or differs."""
+    out = []
+    for key in sorted(set(a) | set(b)):
+        if key not in a or key not in b:
+            out.append(f"{key}: only in {'A' if key in a else 'B'}")
+            continue
+        x, y = np.asarray(a[key]), np.asarray(b[key])
+        numeric = x.dtype.kind in "fc" and y.dtype.kind in "fc"
+        if x.shape != y.shape:
+            out.append(f"{key}: shape {x.shape} != {y.shape}")
+        elif not np.array_equal(x, y, equal_nan=numeric):
+            if numeric:
+                diff = ~((x == y) | (np.isnan(x) & np.isnan(y)))
+                worst = np.nanmax(np.abs(x - y)[diff]) if diff.any() else np.nan
+                out.append(f"{key}: {int(diff.sum())} of {x.size} entries differ, "
+                           f"max |A - B| = {worst:.3e}")
+            else:
+                out.append(f"{key}: {x.tolist()} != {y.tolist()}")
+    return out
+
+
+def compare(path_a, path_b) -> list:
+    with np.load(path_a) as a, np.load(path_b) as b:
+        return mismatches(dict(a), dict(b))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    sub.add_parser("dump").add_argument("out")
+    cmp = sub.add_parser("compare")
+    cmp.add_argument("a")
+    cmp.add_argument("b")
+    args = ap.parse_args(argv)
+    if args.cmd == "dump":
+        import westfem
+        arrays = dump(args.out)
+        print(f"wrote {len(arrays)} arrays from {westfem.__file__} to {args.out}")
+        return 0
+    bad = compare(args.a, args.b)
+    for line in bad:
+        print(line)
+    if bad:
+        print(f"{len(bad)} mismatch(es)")
+        return 1
+    with np.load(args.a) as a:
+        print(f"equal: all {len(a.files)} arrays")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
