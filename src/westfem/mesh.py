@@ -3,6 +3,8 @@
 An n x n grid of cells, each split along the (+1,+1) diagonal, gives
 (n+1)^2 vertices and 2 n^2 congruent right triangles with longest edge
 sqrt(2)/n.  Triangles are stored with counterclockwise vertex order.
+This module alone knows that layout: the vertex numbering, the triangle
+order, the boundary edges, point location and the affine element map.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ def unit_square_mesh(n: int) -> Mesh:
     v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
     tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
 
-    ix = np.arange((n + 1) ** 2) % (n + 1)
-    iy = np.arange((n + 1) ** 2) // (n + 1)
+    iy, ix = np.divmod(np.arange((n + 1) ** 2), n + 1)
     boundary = (ix == 0) | (ix == n) | (iy == 0) | (iy == n)
     return Mesh(vertices=vertices, triangles=tris, boundary_vertex=boundary, n=n)
 
@@ -52,10 +53,7 @@ def unit_square_mesh(n: int) -> Mesh:
 def mesh_size(mesh: Mesh) -> float:
     """Largest triangle diameter, h_max = sqrt(2)/n for this family."""
     v = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
-    d01 = np.linalg.norm(v[:, 0] - v[:, 1], axis=1)
-    d12 = np.linalg.norm(v[:, 1] - v[:, 2], axis=1)
-    d20 = np.linalg.norm(v[:, 2] - v[:, 0], axis=1)
-    return float(np.max(np.column_stack([d01, d12, d20])))
+    return float(np.linalg.norm(v - np.roll(v, 1, axis=1), axis=2).max())
 
 
 def edge_table(mesh: Mesh):
@@ -63,13 +61,47 @@ def edge_table(mesh: Mesh):
     (a,b), (b,c), (c,a).
 
     Returns (edges (n_edges, 2) sorted vertex pairs, tri_edges
-    (n_triangles, 3) edge index of each local edge).
+    (n_triangles, 3) edge index of each local edge, on_boundary (n_edges,)
+    bool: the edges of a single triangle).
     """
     local = mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     key = np.sort(local, axis=1)
-    _, first, inverse = np.unique(key[:, 0] * mesh.n_vertices + key[:, 1],
-                                  return_index=True, return_inverse=True)
+    _, first, inverse, count = np.unique(key[:, 0] * mesh.n_vertices + key[:, 1],
+                                         return_index=True, return_inverse=True,
+                                         return_counts=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return key[first[order]], rank[inverse].reshape(-1, 3)
+    return key[first[order]], rank[inverse].reshape(-1, 3), count[order] == 1
+
+
+def map_to_cells(mesh: Mesh, pts: np.ndarray) -> np.ndarray:
+    """Reference points (npts, 2) mapped into every triangle (a, b, c) by
+    x = a + xi (b - a) + eta (c - a); returns (n_triangles, npts, 2)."""
+    va, vb, vc = (mesh.vertices[mesh.triangles[:, k]] for k in range(3))
+    return (va[:, None, :]
+            + pts[None, :, 0, None] * (vb - va)[:, None, :]
+            + pts[None, :, 1, None] * (vc - va)[:, None, :])
+
+
+def locate(mesh: Mesh, x, y):
+    """Triangle and reference coordinates of points of the closed unit
+    square; returns (tri, xi, eta), each of shape (npts,)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    outside = ~((x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0))   # NaN included
+    if np.any(outside):
+        i = int(np.flatnonzero(outside)[0])
+        raise ValueError(f"{int(outside.sum())} point(s) outside [0, 1]^2, "
+                         f"first ({float(x[i])}, {float(y[i])})")
+    # the cell, then its lower (v00, v10, v11) or upper (v00, v11, v01) half
+    n = mesh.n
+    cx = np.clip(np.floor(x * n).astype(int), 0, n - 1)
+    cy = np.clip(np.floor(y * n).astype(int), 0, n - 1)
+    fx = x * n - cx
+    fy = y * n - cy
+    lower = fy <= fx
+    tri = 2 * (cy * n + cx) + np.where(lower, 0, 1)
+    xi = np.where(lower, fx - fy, fx)
+    eta = np.where(lower, fy, fy - fx)
+    return tri, xi, eta

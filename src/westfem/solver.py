@@ -1,8 +1,9 @@
 """Slab marching and the linearized fixed-point solver.
 
 Each slab is solved by freezing the nonlinearity at the previous iterate:
-the constant-coefficient system is LU-factored once (and reused across
-iterations and across slabs of equal length) while the lagged terms
+the constant-coefficient system is LU-factored once (reused across
+iterations and across slabs of equal length, and freed after the last slab
+of its length) while the lagged terms
 -k (dt(u^s dtu^s), w) - k (u(t-) dtu^s(t+), w(t+)) update the right-hand
 side.  The initial guess is the k = 0 solve, so a linear problem converges
 in exactly one iteration.
@@ -87,8 +88,9 @@ def solve_slab_fixed_point(fact: Factorization, ws: SlabWorkspace,
     """Solve one slab; returns (modes (q, n_dof), info).
 
     Raises DegenerateCoefficient if 1 + k u drops to GUARD or below, or is
-    NaN, on the slab's space-time quadrature grid, SolverFailure if the
-    increment is still above TOL (relative L2(Q_n)) after S_MAX iterations.
+    NaN, on the slab's space-time quadrature grid, SolverFailure if a lagged
+    load is not finite or the increment is still above TOL (relative
+    L2(Q_n)) after S_MAX iterations.
     """
     space, q, tau = ws.space, ws.basis.q, state.tau
     free = space.free_dofs
@@ -113,6 +115,9 @@ def solve_slab_fixed_point(fact: Factorization, ws: SlabWorkspace,
             raise DegenerateCoefficient(
                 f"coefficient 1 + k u reached {coeff_min:.3g}, not above {GUARD}, on {where}",
                 slab=state.n, coeff_min=coeff_min, interval=interval)
+        if not np.isfinite(lag).all():
+            raise SolverFailure(f"lagged load is not finite on {where}",
+                                slab=state.n, increment=info.increment, interval=interval)
         new_modes = embed(fact.solve((rhs_const + lag).ravel()))
         new_modal = ws.basis.to_modal(state.u_start, new_modes)
         num, den = _qn_norms(space, tau, new_modal - modal, new_modal)
@@ -137,6 +142,7 @@ def solve_westervelt(space: FESpace, partition: TimePartition, q: int,
     ws = SlabWorkspace(space, q, case)
     report = SolverReport()
     factors: dict[float, Factorization] = {}
+    last = {tau: n for n, tau in enumerate(partition.taus)}   # last slab of each length
     all_modes = np.empty((partition.n_slabs, q, space.n_dof))
     state = start = first_state(ws, partition)
 
@@ -145,11 +151,13 @@ def solve_westervelt(space: FESpace, partition: TimePartition, q: int,
             state = next_state(ws, state, all_modes[n - 1], partition)
         if state.tau not in factors:
             factors[state.tau] = Factorization(ws, state.tau)
+            report.n_factorizations += 1
         all_modes[n], info = solve_slab_fixed_point(factors[state.tau], ws, state)
         report.slabs.append(info)
+        if last[state.tau] == n:
+            del factors[state.tau]
 
-    report.n_factorizations = len(factors)
-    report.factorization_reuses = partition.n_slabs - len(factors)
+    report.factorization_reuses = partition.n_slabs - report.n_factorizations
     sol = DiscreteSolution(space, partition, q, all_modes, start.u_start)
     report.runtime_s = time.perf_counter() - t_start
     return sol, report

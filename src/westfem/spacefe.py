@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .mesh import Mesh, edge_table
+from .mesh import Mesh, edge_table, locate, map_to_cells
 from .refelem import reference_element, triangle_quadrature
 
 
@@ -36,8 +36,8 @@ class FESpace:
     def _build_dofmap(self):
         mesh, p, ref = self.mesh, self.p, self.ref
         nv = mesh.n_vertices
-        edges, tri_edges = edge_table(mesh)
-        ne = len(edges)
+        _, tri_edges, on_boundary = edge_table(mesh)
+        ne = len(on_boundary)
         n_int = ref.n_interior
         self.n_dof = nv + ne * (p - 1) + mesh.n_triangles * n_int
 
@@ -54,30 +54,13 @@ class FESpace:
             [tri, edge_dofs.reshape(len(tri), -1), interior], axis=1)
 
         # physical node coordinates (shared dofs written consistently)
-        coords = np.empty((self.n_dof, 2))
-        va = mesh.vertices[mesh.triangles[:, 0]]
-        vb = mesh.vertices[mesh.triangles[:, 1]]
-        vc = mesh.vertices[mesh.triangles[:, 2]]
-        xi = ref.nodes[:, 0]
-        eta = ref.nodes[:, 1]
-        phys = (va[:, None, :]
-                + xi[None, :, None] * (vb - va)[:, None, :]
-                + eta[None, :, None] * (vc - va)[:, None, :])
-        coords[cell_dofs.ravel()] = phys.reshape(-1, 2)
-        self.dof_coords = coords
+        self.dof_coords = np.empty((self.n_dof, 2))
+        self.dof_coords[cell_dofs.ravel()] = map_to_cells(mesh, ref.nodes).reshape(-1, 2)
 
-        # Dirichlet dofs by topology: boundary vertices, plus edge dofs on
-        # edges whose endpoints share a side of the square (a diagonal may
-        # join two boundary vertices through the interior)
-        n = mesh.n
+        # Dirichlet dofs: boundary vertices, plus the dofs of boundary edges
         is_dirichlet = np.zeros(self.n_dof, dtype=bool)
         is_dirichlet[:nv] = mesh.boundary_vertex
-        ix = np.arange(nv) % (n + 1)
-        iy = np.arange(nv) // (n + 1)
-        u, v = edges[:, 0], edges[:, 1]
-        on_side = (((ix[u] == ix[v]) & ((ix[u] == 0) | (ix[u] == n)))
-                   | ((iy[u] == iy[v]) & ((iy[u] == 0) | (iy[u] == n))))
-        side_dofs = edge_base + np.flatnonzero(on_side)[:, None] * (p - 1) + np.arange(p - 1)
+        side_dofs = edge_base + np.flatnonzero(on_boundary)[:, None] * (p - 1) + np.arange(p - 1)
         is_dirichlet[side_dofs.ravel()] = True
         self.free_dofs = np.flatnonzero(~is_dirichlet)
         self.n_free = self.free_dofs.size
@@ -192,8 +175,7 @@ class ElementData:
         self.grads_ref = ref.eval_basis_grad(pts)        # (nq, nl, 2)
         self.grads_lqd = np.ascontiguousarray(self.grads_ref.transpose(1, 0, 2))
 
-        tri = mesh.triangles
-        va, vb, vc = (mesh.vertices[tri[:, k]] for k in range(3))
+        va, vb, vc = mesh.vertices[mesh.triangles].transpose(1, 0, 2)
         jac = np.stack([vb - va, vc - va], axis=2)       # (nt, 2, 2), columns
         self.detj = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         self.wdetj = w[None, :] * self.detj[:, None]     # (nt, nq) weights
@@ -204,9 +186,7 @@ class ElementData:
         inv[:, 1, 1] = jac[:, 0, 0]
         inv /= self.detj[:, None, None]
         self.jinv = inv                                  # J^{-1}
-        self.phys = (va[:, None, :]
-                     + pts[None, :, 0, None] * (vb - va)[:, None, :]
-                     + pts[None, :, 1, None] * (vc - va)[:, None, :])
+        self.phys = map_to_cells(mesh, pts)              # (nt, nq, 2)
         self.gdofs = space.cell_dofs
         self.gdofs_lt = np.ascontiguousarray(space.cell_dofs.T)
         self.n_dof = space.n_dof
@@ -352,24 +332,9 @@ def ritz_project(space: FESpace, grad_g) -> np.ndarray:
 
 
 def evaluate(space: FESpace, coeffs: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Point evaluation of a FE function on the structured mesh; every point
-    must lie in the closed unit square."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    outside = ~((x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0))   # NaN included
-    if np.any(outside):
-        i = int(np.flatnonzero(outside)[0])
-        raise ValueError(f"{int(outside.sum())} point(s) outside [0, 1]^2, "
-                         f"first ({float(x[i])}, {float(y[i])})")
-    n = space.mesh.n
-    cx = np.clip(np.floor(x * n).astype(int), 0, n - 1)
-    cy = np.clip(np.floor(y * n).astype(int), 0, n - 1)
-    fx = x * n - cx
-    fy = y * n - cy
-    lower = fy <= fx
-    tri = 2 * (cy * n + cx) + np.where(lower, 0, 1)
-    xi = np.where(lower, fx - fy, fx)
-    eta = np.where(lower, fy, fy - fx)
+    """Point evaluation of a FE function; every point must lie in the closed
+    unit square."""
+    tri, xi, eta = locate(space.mesh, x, y)
     vals = space.ref.eval_basis(np.column_stack([xi, eta]))  # (npts, nl)
     local = coeffs[space.cell_dofs[tri]]                     # (npts, nl)
     return np.sum(vals * local, axis=1)

@@ -1,7 +1,7 @@
 """Temporal discretization: slab partitions, shifted Legendre bases, the
 start-anchored trial basis of the DG-CG scheme, the per-slab L2
-projection, the derivative-matching projection P_tau, and the linear slab
-weight phi_n used by the stability analysis.
+projection, the derivative-matching projection P_tau, and the jump-control
+constant zeta_q of the stability analysis.
 
 All slab-local polynomials are expanded in shifted Legendre modes
 Lt_j(s) = P_j(2s-1) on the unit slab coordinate s in [0,1], so L2
@@ -32,11 +32,15 @@ class TimePartition:
             raise ValueError("breakpoints must be finite and strictly increasing, length >= 2")
         if bp[0] != 0.0:
             raise ValueError(f"the first breakpoint is t_0 = 0, got {bp[0]}")
-        taus = np.asarray(self.taus, dtype=float)
+        taus = np.array(self.taus, dtype=float)
         # the tolerance of `uniform`, so its shared tau passes
-        if taus.shape != (bp.size - 1,) or np.any(
-                np.abs(taus - np.diff(bp)) > 1e-12 * max(1.0, bp[-1])):
+        tol = 1e-12 * max(1.0, bp[-1])
+        if taus.shape != (bp.size - 1,) or np.any(np.abs(taus - np.diff(bp)) > tol):
             raise ValueError("taus must be the slab lengths np.diff(breakpoints)")
+        # a length within tol of an earlier one takes its value, so slabs of
+        # equal length share one slab operator
+        for i in range(1, taus.size):
+            taus[i] = taus[np.argmax(np.abs(taus[:i + 1] - taus[i]) <= tol)]
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "taus", taus)
 
@@ -248,7 +252,7 @@ def _integrate_modes(b: np.ndarray) -> np.ndarray:
     return a
 
 
-# -- stability weight -------------------------------------------------
+# -- jump control -----------------------------------------------------
 
 
 def zeta(q: int) -> float:
@@ -256,37 +260,3 @@ def zeta(q: int) -> float:
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
     return 1.0 / (4.0 * (2 * q + 1))
-
-
-@dataclass(frozen=True)
-class SlabWeight:
-    """phi_n(t) = theta - lambda_n (t - t_{n-1}) on slab n."""
-
-    theta: float
-    lam: float       # lambda_n = zeta_q / tau_n
-    t_start: float
-    t_end: float
-
-    def __call__(self, t):
-        return self.theta - self.lam * (np.asarray(t) - self.t_start)
-
-    @property
-    def value_start(self) -> float:
-        return self.theta
-
-    @property
-    def value_end(self) -> float:
-        return self.theta - self.lam * (self.t_end - self.t_start)
-
-
-def weight_phi(n: int, theta: float, q: int, partition: TimePartition) -> SlabWeight:
-    """Slab weight function; requires theta > zeta_q so phi_n stays positive."""
-    z = zeta(q)
-    if not theta > z:
-        raise ValueError(f"theta must exceed zeta_q = {z}, got {theta}")
-    if not 1 <= n <= partition.n_slabs:
-        raise ValueError(f"slab index {n} outside 1..{partition.n_slabs}")
-    tau = partition.taus[n - 1]
-    return SlabWeight(theta=theta, lam=z / tau,
-                      t_start=float(partition.breakpoints[n - 1]),
-                      t_end=float(partition.breakpoints[n]))

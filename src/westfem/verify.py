@@ -27,7 +27,7 @@ from .refelem import reference_element, triangle_quadrature
 from .solver import slab_residuals
 from .spacefe import FESpace, interpolate, ritz_project
 from .timefe import (TimePartition, TimePoly, gauss_interval, l2_project_time,
-                     ptau_project, shifted_legendre_table, weight_phi, zeta)
+                     ptau_project, shifted_legendre_table, zeta)
 
 # -- report plumbing -------------------------------------------------
 
@@ -346,19 +346,6 @@ def suite_jump_control_bounds(ck: Checker):
         coef = (2.0 * np.arange(q) + 1.0) * ((vals * w) @ pw)
         ck.below(f"q{q}-constant-weight-defect",
                  float(np.abs(pw - coef @ vals).max()), 1e-13)
-        # weight function bounds: theta - zeta <= phi <= theta, positive
-        theta = 2.0 * zeta(q)
-        part = TimePartition.uniform(1.0, 0.25)
-        wf = weight_phi(2, theta, q, part)
-        ck.close(f"q{q}-weight-endpoints", wf.value_start - wf.value_end,
-                 zeta(q), 1e-14)
-        ck.check(f"q{q}-weight-positive", wf.value_end > 0,
-                 f"end value {wf.value_end:.4g}")
-        try:
-            weight_phi(1, zeta(q), q, part)
-            ck.check(f"q{q}-weight-guard", False, "theta = zeta accepted")
-        except ValueError:
-            ck.check(f"q{q}-weight-guard", True, "theta > zeta enforced")
         # sup bound ||w||_inf <= (1 + C_inv) tau^{-1/2} ||w||_L2, degree q
         cinv = _temporal_inverse_constant(q)
         tau = 0.37

@@ -2,7 +2,8 @@
 geometry or weights of an ElementData, and no element_data call spells out
 a rule degree (callers use FESpace.ed_lin, ed_nl, ed_err).  The data a slab
 starts from is decided in slab.py alone: no other module constructs a
-SlabState."""
+SlabState.  The layout of the unit-square mesh stays in mesh.py: spacefe.py
+never reads the number of cells per side, mesh.n."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,9 @@ def test_slab_state_built_in_slab_py():
                          ids=lambda p: p.stem)
 def test_slab_state_constructed_only_in_slab_py(path):
     assert _slab_state_calls(path) == []
+
+
+def test_spacefe_reads_no_cells_per_side():
+    tree = ast.parse((SRC / "spacefe.py").read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "n"] == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from westfem.mesh import edge_table, mesh_size, unit_square_mesh
+from westfem.mesh import edge_table, locate, map_to_cells, mesh_size, unit_square_mesh
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -45,7 +45,7 @@ def test_mesh_size():
 @pytest.mark.parametrize("n", [2, 4])
 def test_edge_table(n):
     mesh = unit_square_mesh(n)
-    edges, tri_edges = edge_table(mesh)
+    edges, tri_edges, on_boundary = edge_table(mesh)
     # structured criss-cross grid: 2n(n+1) axis-parallel edges + n^2 diagonals
     assert len(edges) == 3 * n ** 2 + 2 * n
     assert np.array_equal(np.unique(tri_edges), np.arange(len(edges)))
@@ -58,9 +58,44 @@ def test_edge_table(n):
     assert tri_edges.tolist() == [[table[(min(u, v), max(u, v))]
                                    for u, v in ((a, b), (b, c), (c, a))]
                                   for a, b, c in mesh.triangles.tolist()]
-    on_side = 0
+    on_side = []
     for a, b in edges:
         va, vb = mesh.vertices[a], mesh.vertices[b]
-        if any(abs(va[i] - vb[i]) < 1e-14 and va[i] in (0.0, 1.0) for i in (0, 1)):
-            on_side += 1
-    assert on_side == 4 * n
+        on_side.append(any(abs(va[i] - vb[i]) < 1e-14 and va[i] in (0.0, 1.0)
+                           for i in (0, 1)))
+    assert on_boundary.tolist() == on_side
+    assert on_boundary.sum() == 4 * n
+
+
+def _probe_points(n):
+    # random points, then the vertices, edge midpoints and points on the
+    # cells' diagonals
+    mesh = unit_square_mesh(n)
+    edges = edge_table(mesh)[0]
+    s = np.random.default_rng(n).random(40)
+    return np.concatenate([np.random.default_rng(n + 1).random((200, 2)), mesh.vertices,
+                           mesh.vertices[edges].mean(axis=1),
+                           np.column_stack([s, s]), np.column_stack([s, 1.0 - s])])
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_locate_maps_back_to_the_point(n):
+    mesh = unit_square_mesh(n)
+    pts = _probe_points(n)
+    tri, xi, eta = locate(mesh, pts[:, 0], pts[:, 1])
+    assert np.all((0 <= tri) & (tri < mesh.n_triangles))
+    assert np.all(xi >= 0) and np.all(eta >= 0) and np.all(xi + eta <= 1 + 1e-15)
+    back = map_to_cells(mesh, np.column_stack([xi, eta]))[tri, np.arange(len(pts))]
+    assert np.max(np.abs(back - pts)) <= 1e-15
+
+
+def test_map_to_cells_takes_nodes_to_vertices():
+    mesh = unit_square_mesh(3)
+    corners = map_to_cells(mesh, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    assert np.array_equal(corners, mesh.vertices[mesh.triangles])
+
+
+@pytest.mark.parametrize("x, y", [(1.5, 0.5), (0.5, -1e-12), (np.nan, 0.5)])
+def test_locate_rejects_points_outside(x, y):
+    with pytest.raises(ValueError, match=r"1 point\(s\) outside \[0, 1\]\^2"):
+        locate(unit_square_mesh(2), [0.5, x], [0.5, y])

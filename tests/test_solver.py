@@ -1,5 +1,7 @@
 """Slab marching: exactness, iteration counts, failure modes, determinism."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -85,23 +87,44 @@ def test_degenerate_coefficient_raises():
 
 
 def test_nan_coefficient_stops_at_the_guard(monkeypatch):
-    # A = 1e140 overflows the first lagged load, so the next iterate is NaN;
-    # a NaN 1 + k u must trip the guard at once instead of running S_MAX
-    # iterations into a SolverFailure with a NaN increment
-    calls = []
+    # A = 1e140 overflows the first lagged load while 1 + k u is still 1.0:
+    # the solver stops at that load, after the one triangular solve of the
+    # initial guess, instead of solving on a NaN right-hand side
+    calls, solves = [], []
+    real_solve = solver.Factorization.solve
 
     def counted(ws, state, modal):
         calls.append(np.isfinite(modal).all())
         return lagged_rhs(ws, state, modal)
 
+    def counted_solve(self, rhs):
+        solves.append(np.isfinite(rhs).all())
+        return real_solve(self, rhs)
+
     monkeypatch.setattr(solver, "lagged_rhs", counted)
+    monkeypatch.setattr(solver.Factorization, "solve", counted_solve)
     cfg = ProblemConfig(case=get_case("smooth", A=1e140), n=4, p=1, q=2, tau=0.5)
-    with pytest.raises(DegenerateCoefficient) as exc_info, np.errstate(all="ignore"):
+    with pytest.raises(SolverFailure) as exc_info, np.errstate(all="ignore"):
+        run_problem(cfg)
+    exc = exc_info.value
+    assert type(exc) is SolverFailure
+    assert "lagged load is not finite on slab 1 (t in [0, 0.5])" in str(exc)
+    assert exc.slab == 1 and exc.interval == (0.0, 0.5)
+    assert calls == [True] and solves == [True]
+
+
+def test_nan_coefficient_trips_the_guard(monkeypatch):
+    # a finite load with a NaN 1 + k u still stops at the coefficient guard
+    def nan_coefficient(ws, state, modal):
+        return np.zeros((ws.basis.q, ws.space.n_free)), float("nan")
+
+    monkeypatch.setattr(solver, "lagged_rhs", nan_coefficient)
+    cfg = ProblemConfig(case=get_case("smooth"), n=3, p=1, q=2, tau=0.5)
+    with pytest.raises(DegenerateCoefficient) as exc_info:
         run_problem(cfg)
     exc = exc_info.value
     assert np.isnan(exc.coeff_min) and "reached nan, not above 0.1" in str(exc)
     assert exc.slab == 1 and exc.interval == (0.0, 0.5)
-    assert calls == [True, False]
 
 
 @pytest.mark.parametrize("k", [0.5, -10.0, 0.0])
@@ -145,6 +168,31 @@ def test_factorization_reused_on_uniform_partition():
     _, _, _, rep = run_problem(cfg)
     assert rep.n_factorizations == 1
     assert rep.factorization_reuses == 8 - 1
+
+
+def test_evenly_spaced_breakpoints_share_one_factorization():
+    space = FESpace(unit_square_mesh(3), 2)
+    part = TimePartition.from_breakpoints([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+    _, rep = solve_westervelt(space, part, 2, get_case("smooth"))
+    assert rep.n_factorizations == 1 and rep.factorization_reuses == 4
+
+
+def test_factorization_freed_after_its_last_slab(monkeypatch):
+    # four distinct lengths: each LU is dropped before the next is built
+    alive, peak = weakref.WeakSet(), []
+
+    class Tracked(solver.Factorization):
+        def __init__(self, ws, tau):
+            super().__init__(ws, tau)
+            alive.add(self)
+            peak.append(len(alive))
+
+    monkeypatch.setattr(solver, "Factorization", Tracked)
+    space = FESpace(unit_square_mesh(3), 2)
+    part = TimePartition.from_breakpoints([0.0, 0.1, 0.3, 0.6, 1.0])
+    _, rep = solve_westervelt(space, part, 2, get_case("smooth"))
+    assert rep.n_factorizations == 4 and rep.factorization_reuses == 0
+    assert peak == [1, 1, 1, 1] and len(alive) == 0
 
 
 def test_solution_continuous_across_slabs():

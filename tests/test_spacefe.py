@@ -9,7 +9,7 @@ import pytest
 
 import westfem.spacefe as spacefe
 from westfem.cases import get_case
-from westfem.mesh import unit_square_mesh
+from westfem.mesh import edge_table, unit_square_mesh
 from westfem.spacefe import FESpace, evaluate, interpolate, ritz_project
 
 
@@ -49,6 +49,25 @@ def test_dofmap_matches_loop_numbering(n, p):
         if any(x[u] == x[v] == s or y[u] == y[v] == s for s in (0.0, 1.0)):
             dirichlet |= set(range(nv + e * (p - 1), nv + (e + 1) * (p - 1)))
     assert space.free_dofs.tolist() == sorted(set(range(space.n_dof)) - dirichlet)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_free_dofs_match_the_vertex_grid_rule(n, p):
+    # the earlier rule: an edge is Dirichlet when both endpoints sit on one
+    # side of the square, read from the row-major vertex grid
+    space = make_space(n, p)
+    nv = space.mesh.n_vertices
+    edges = edge_table(space.mesh)[0]
+    ix, iy = np.arange(nv) % (n + 1), np.arange(nv) // (n + 1)
+    u, v = edges[:, 0], edges[:, 1]
+    on_side = (((ix[u] == ix[v]) & ((ix[u] == 0) | (ix[u] == n)))
+               | ((iy[u] == iy[v]) & ((iy[u] == 0) | (iy[u] == n))))
+    is_dirichlet = np.zeros(space.n_dof, dtype=bool)
+    is_dirichlet[:nv] = space.mesh.boundary_vertex
+    side_dofs = nv + np.flatnonzero(on_side)[:, None] * (p - 1) + np.arange(p - 1)
+    is_dirichlet[side_dofs.ravel()] = True
+    assert np.array_equal(space.free_dofs, np.flatnonzero(~is_dirichlet))
 
 
 @pytest.mark.parametrize("n,p", [(2, 1), (3, 2), (2, 5)])

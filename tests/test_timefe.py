@@ -1,11 +1,10 @@
-"""Time partitions, shifted Legendre bases, temporal projections, weights."""
+"""Time partitions, shifted Legendre bases, temporal projections, zeta."""
 
 import numpy as np
 import pytest
 
-from westfem.timefe import (SlabWeight, TimePartition, TimePoly, gauss_interval,
-                            l2_project_time, ptau_project,
-                            shifted_legendre_table, trial_basis, weight_phi, zeta)
+from westfem.timefe import (TimePartition, TimePoly, gauss_interval, l2_project_time,
+                            ptau_project, shifted_legendre_table, trial_basis, zeta)
 
 
 def test_uniform_partition():
@@ -48,6 +47,19 @@ def test_partition_from_lists_stores_arrays():
 def test_uniform_partition_taus_pass_the_check(T, tau):
     part = TimePartition.uniform(T, tau)
     assert np.all(part.taus == tau)
+
+
+def test_equal_slab_lengths_share_one_value():
+    # np.diff gives 0.2, 0.2, 0.19999999999999996, 0.20000000000000007, ...
+    bp = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+    assert len(set(np.diff(bp))) > 1
+    part = TimePartition.from_breakpoints(bp)
+    assert set(part.taus) == {np.diff(bp)[0]}
+    # lengths farther apart than the tolerance stay distinct and keep their bits
+    graded = [0.0, 0.25, 0.5, 0.6, 1.0]
+    assert np.array_equal(TimePartition.from_breakpoints(graded).taus, np.diff(graded))
+    near = TimePartition.from_breakpoints([0.0, 0.5, 1.0 + 1e-9])
+    assert near.taus[1] - near.taus[0] > 9e-10
 
 
 def test_locate():
@@ -196,22 +208,3 @@ def test_zeta_values():
     assert zeta(1) == pytest.approx(1 / 12)
     assert zeta(2) == pytest.approx(1 / 20)
     assert zeta(5) == pytest.approx(1 / 44)
-
-
-@pytest.mark.parametrize("q", [2, 4])
-def test_weight_function(q):
-    part = TimePartition.uniform(1.0, 0.25)
-    theta = 2.0 * zeta(q)
-    w = weight_phi(2, theta, q, part)  # slab indices are 1-based
-    assert isinstance(w, SlabWeight)
-    assert w.value_start == pytest.approx(theta, abs=1e-15)
-    assert w.value_start - w.value_end == pytest.approx(zeta(q), abs=1e-15)
-    ts = np.linspace(0.25, 0.5, 9)  # slab 2 covers [0.25, 0.5]
-    vals = np.array([w(t) for t in ts])
-    assert np.all(vals > 0) and np.all(vals <= theta + 1e-15)
-
-
-def test_weight_requires_theta_above_zeta():
-    part = TimePartition.uniform(1.0, 0.5)
-    with pytest.raises(ValueError):
-        weight_phi(1, zeta(3), 3, part)

@@ -8,7 +8,9 @@ the path (run it once per source tree, each with its own PYTHONPATH) and
 writes, per configuration, the solution modes and breakpoint values, the
 per-slab iterations, increments and guard margins `coeff_min`, and both
 error functionals where the case has a closed-form solution; then the rows
-of a small `h` and `delta` study, every cell except the timings.
+of a small `h` and `delta` study, every cell except the timings; then, per
+space of GEOMETRY, the dofmap (free dofs, cell dofs, dof coordinates), the
+quadrature points of the three rules and point values of an interpolant.
 `compare` checks every array of A against B with np.array_equal (NaN equal
 to NaN), prints each key that is missing or differs, and exits 1 if any
 does.
@@ -39,6 +41,9 @@ STUDIES = {
 
 TIMINGS = ("runtime_s", "runtime_err_s")
 
+# (n, p) of the spaces whose geometry is dumped
+GEOMETRY = [(3, 1), (4, 2), (3, 5)]
+
 
 def _solve(wf, label, overrides, n, p, q, steps):
     case = wf.get_case(label, **overrides)
@@ -53,6 +58,21 @@ def _solve(wf, label, overrides, n, p, q, steps):
     if case.u is not None:
         for mode in ("dt", "grad"):
             out[f"err_{mode}"] = np.array(wf.err_linf_l2(sol, case, mode))
+    return out
+
+
+def _geometry(wf, n, p):
+    space = wf.FESpace(wf.unit_square_mesh(n), p)
+    out = {"free_dofs": space.free_dofs, "cell_dofs": space.cell_dofs,
+           "dof_coords": space.dof_coords}
+    for rule in ("ed_lin", "ed_nl", "ed_err"):
+        ed = getattr(space, rule)
+        out[f"{rule}/x"] = ed.sample(lambda x, y: x)
+        out[f"{rule}/y"] = ed.sample(lambda x, y: y)
+    # 41 x 41 points with the square's edges and corners (and, at n = 4, cell edges)
+    xg, yg = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 41))
+    coeffs = wf.interpolate(space, lambda x, y: np.sin(3 * x + 1) * np.cos(2 * y) + x * y)
+    out["evaluate"] = wf.evaluate(space, coeffs, xg.ravel(), yg.ravel())
     return out
 
 
@@ -77,6 +97,9 @@ def collect() -> dict:
         for col in result.rows[0]:
             if col not in TIMINGS:
                 out[f"study-{name}/{col}"] = _column([r[col] for r in result.rows])
+    for n, p in GEOMETRY:
+        for key, arr in _geometry(wf, n, p).items():
+            out[f"space-n{n}-p{p}/{key}"] = np.asarray(arr)
     return out
 
 
