@@ -7,7 +7,7 @@ the other two prescribe data only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import Callable, ClassVar, Optional
 
@@ -142,7 +142,7 @@ def get_case(label: str, **overrides) -> ManufacturedCase:
 # -- problem configuration -------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemConfig:
     """One solver run: a case plus its discretization.  The fixed-point
     policy is the solver's (solver.S_MAX, TOL, GUARD), not an option."""
@@ -152,6 +152,8 @@ class ProblemConfig:
     p: int
     q: int
     tau: float
+    # the uniform slabs of [0, T]; building them checks that tau > 0 divides T
+    partition: TimePartition = field(init=False, repr=False, compare=False)
     # not fields: constants for readers of a config, such as the benchmark's probes
     tol: ClassVar[float] = TOL
     guard: ClassVar[float] = GUARD
@@ -162,7 +164,7 @@ class ProblemConfig:
             raise ValueError(f"n, p, q must be integers; got {self.n!r}, {self.p!r}, {self.q!r}")
         if self.n < 1 or self.p < 1 or self.q < 2:
             raise ValueError(f"need n >= 1, p >= 1, q >= 2; got n={self.n}, p={self.p}, q={self.q}")
-        TimePartition.uniform(self.case.T, self.tau)   # tau > 0 and divides T
+        object.__setattr__(self, "partition", TimePartition.uniform(self.case.T, self.tau))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemConfig":
@@ -179,9 +181,8 @@ def run_problem(config: ProblemConfig, space: FESpace | None = None):
     """Solve a configured problem; returns (space, partition, solution, report)."""
     if space is None:
         space = FESpace(unit_square_mesh(config.n), config.p)
-    part = TimePartition.uniform(config.case.T, config.tau)
-    sol, rep = solve_westervelt(space, part, config.q, config.case)
-    return space, part, sol, rep
+    sol, rep = solve_westervelt(space, config.partition, config.q, config.case)
+    return space, config.partition, sol, rep
 
 
 # -- manufactured-solution residual oracle ---------------------------

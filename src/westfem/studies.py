@@ -31,18 +31,16 @@ CSV_COLUMNS = ["case", "n", "h", "tau", "p", "q", "delta", "k", "c",
                "err_dt", "err_grad", "eoc_dt", "eoc_grad",
                "iters_mean", "iters_max", "runtime_s"]
 
-KINDS = ("h", "tau", "pq", "delta", "cfl")
-
-_REQUIRED_FIXED = {
-    "h": ("p", "q", "tau"),
-    "tau": ("n", "p", "q"),
-    "pq": ("n", "tau"),
-    "delta": ("n", "p", "q", "tau"),
-    "cfl": ("p", "q", "tau"),
+# kind -> (the keys one sweep value sets, the column its EOCs are taken
+# against or None); every other rule about a kind follows from this table
+SWEEPS = {
+    "h": (("n",), "h"),
+    "tau": (("tau",), "tau"),
+    "pq": (("p", "q"), None),
+    "delta": (("delta",), "delta"),
+    "cfl": (("n",), None),
 }
-
-# sweep parameter against which EOC columns are computed, if meaningful
-_EOC_PARAM = {"h": "h", "tau": "tau", "delta": "delta"}
+KINDS = tuple(SWEEPS)
 
 
 @dataclass
@@ -64,12 +62,18 @@ class StudySpec:
         s = np.asarray(self.sweep, dtype=float)
         if s.size > 1 and not (np.all(np.diff(s) > 0) or np.all(np.diff(s) < 0)):
             raise ValueError(f"sweep values must be strictly monotone, got {self.sweep}")
-        if self.kind in ("h", "cfl", "pq") and not np.all(np.mod(s, 1.0) == 0.0):
+        sets, _ = SWEEPS[self.kind]
+        if {"n", "p", "q"} & set(sets) and not np.all(np.mod(s, 1.0) == 0.0):
             raise ValueError(f"{self.kind}-study sweep values must be whole numbers, "
                              f"got {self.sweep}")
-        if self.kind == "delta" and not np.all(s > 0):
+        if "delta" in sets and not np.all(s > 0):
             raise ValueError(f"delta-study sweep values must be positive, got {self.sweep}")
-        missing = [key for key in _REQUIRED_FIXED[self.kind] if key not in self.fixed]
+        for key in sets:
+            if key in self.fixed or key in self.case_overrides:
+                raise ValueError(f"{self.kind}-study sweeps {key!r}, so it cannot be "
+                                 f"fixed or overridden")
+        missing = [key for key in ("n", "p", "q", "tau")
+                   if key not in sets and key not in self.fixed]
         if missing:
             raise ValueError(f"{self.kind}-study is missing fixed parameters {missing}")
         if self.name is None:
@@ -90,24 +94,19 @@ class StudySpec:
         except KeyError as exc:
             raise ValueError(f"study spec is missing required key {exc}") from exc
 
+    def config(self, value) -> ProblemConfig:
+        """The ProblemConfig of one sweep value."""
+        params, overrides = dict(self.fixed), dict(self.case_overrides)
+        for key in SWEEPS[self.kind][0]:
+            if key == "delta":
+                overrides[key] = float(value)
+            else:
+                params[key] = float(value) if key == "tau" else int(value)
+        return ProblemConfig(case=get_case(self.case, **overrides), **params)
+
     def configs(self) -> list:
         """One ProblemConfig per sweep entry."""
-        out = []
-        for value in self.sweep:
-            params = dict(self.fixed)
-            overrides = dict(self.case_overrides)
-            if self.kind in ("h", "cfl"):
-                params["n"] = int(value)
-            elif self.kind == "tau":
-                params["tau"] = float(value)
-            elif self.kind == "pq":
-                params["p"] = int(value)
-                params["q"] = int(value)
-            elif self.kind == "delta":
-                overrides["delta"] = float(value)
-            case = get_case(self.case, **overrides)
-            out.append(ProblemConfig(case=case, **params))
-        return out
+        return [self.config(value) for value in self.sweep]
 
 
 @dataclass
@@ -146,10 +145,8 @@ def run_study(spec: StudySpec, threads: int = 1, strict: bool = False) -> StudyR
     with ThreadPoolExecutor(max_workers=threads) as pool:
         if spec.kind == "delta":
             shared_space = FESpace(unit_square_mesh(configs[0].n), configs[0].p)
-            base_case = get_case(spec.case, **{**spec.case_overrides, "delta": 0.0})
-            base_cfg = ProblemConfig(case=base_case, **spec.fixed)
             # the queue is FIFO: the baseline starts before any entry waits on it
-            baseline = pool.submit(run_problem, base_cfg, shared_space)
+            baseline = pool.submit(run_problem, spec.config(0.0), shared_space)
         entries = list(pool.map(work, configs))
         if baseline is not None:
             baseline.result()       # raises even when every entry failed
@@ -196,7 +193,7 @@ def result_row(cfg: ProblemConfig, sol, rep, ref) -> dict:
 
 
 def _fill_eoc(spec: StudySpec, rows: list):
-    key = _EOC_PARAM.get(spec.kind)
+    _, key = SWEEPS[spec.kind]
     usable = [r for r in rows if r["err_dt"] is not None]
     if key is None or len(usable) < 2:
         return
@@ -217,7 +214,7 @@ def _summary(spec, rows, failures) -> dict:
            "n_dofs": [r["n_dof"] for r in rows], "rows": len(rows), "failures": failures,
            "err_dt": errs_dt, "err_grad": errs_g,
            "runtime_err_s": [r["runtime_err_s"] for r in rows]}
-    if spec.kind in _EOC_PARAM and len(scored) >= 2:
+    if SWEEPS[spec.kind][1] and len(scored) >= 2:
         out["eoc_dt"] = [r["eoc_dt"] for r in scored[1:]]
         out["eoc_grad"] = [r["eoc_grad"] for r in scored[1:]]
     if spec.kind == "pq" and len(scored) >= 2:
@@ -239,8 +236,8 @@ def _summary(spec, rows, failures) -> dict:
 def _cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))   # np.float64 is a float whose repr names its type
     return str(v)
 
 
@@ -269,7 +266,7 @@ def write_plot(result: StudyResult, path: Path) -> bool:
     if spec.kind == "pq":
         xlabel, x = "N_dofs^(1/3)", [r["n_dof"] ** (1.0 / 3.0) for r in rows]
     else:
-        xlabel = _EOC_PARAM.get(spec.kind, "h")
+        xlabel = SWEEPS[spec.kind][1] or "h"
         x = [r[xlabel] for r in rows]
     series = [(col, x, [r[col] for r in rows]) for col in ("err_dt", "err_grad")]
     p, q = rows[0]["p"], rows[0]["q"]

@@ -37,10 +37,15 @@ class TimePartition:
         tol = 1e-12 * max(1.0, bp[-1])
         if taus.shape != (bp.size - 1,) or np.any(np.abs(taus - np.diff(bp)) > tol):
             raise ValueError("taus must be the slab lengths np.diff(breakpoints)")
-        # a length within tol of an earlier one takes its value, so slabs of
-        # equal length share one slab operator
-        for i in range(1, taus.size):
-            taus[i] = taus[np.argmax(np.abs(taus[:i + 1] - taus[i]) <= tol)]
+        # a length within tol of an earlier one takes the value of the first
+        # such slab, so slabs of equal length share one slab operator: the
+        # first free slab starts a length and takes every free slab near it
+        free = np.ones(taus.size, dtype=bool)
+        while free.any():
+            i = int(np.argmax(free))
+            near = free & (np.abs(taus - taus[i]) <= tol)
+            taus[near] = taus[i]
+            free &= ~near
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "taus", taus)
 

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import westfem.cases as cases
 from westfem.cases import (CASES, ManufacturedCase, ProblemConfig, get_case,
                            smooth_case, verify_manufactured)
 
@@ -117,6 +118,19 @@ def test_config_exposes_solver_policy():
     from westfem.solver import GUARD, TOL
     cfg = ProblemConfig(case=smooth_case(), n=2, p=1, q=2, tau=0.5)
     assert (cfg.tol, cfg.guard) == (TOL, GUARD) == (1e-12, 0.1)
+
+
+def test_config_is_frozen_and_carries_its_partition(monkeypatch):
+    cfg = ProblemConfig(case=smooth_case(), n=2, p=1, q=2, tau=0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.tau = 0.25
+    assert np.array_equal(cfg.partition.breakpoints, [0.0, 0.5, 1.0])
+    built = []
+    real = cases.TimePartition.uniform
+    monkeypatch.setattr(cases.TimePartition, "uniform",
+                        lambda *args: built.append(args) or real(*args))
+    assert cases.run_problem(cfg)[1] is cfg.partition
+    assert built == []
 
 
 def test_initial_value_needs_its_gradient():

@@ -173,9 +173,14 @@ def test_study_failure_exits_2(tmp_path):
      "case_overrides": {"A": "x"}},
     {"kind": "h", "case": "smooth", "sweep": [2], "fixed": {"p": 1, "q": 2, "tau": 0.25},
      "case_overrides": {"c": -1.0}},
+    {"kind": "h", "case": "smooth", "sweep": [2, 4],
+     "fixed": {"n": 16, "p": 1, "q": 2, "tau": 0.25}},
+    {"kind": "delta", "case": "smooth", "sweep": [1e-3, 1e-2],
+     "fixed": {"n": 2, "p": 1, "q": 2, "tau": 0.25}, "case_overrides": {"delta": 0.3}},
 ], ids=["missing-sweep", "fixed-tau-zero", "fixed-unknown-key", "sweep-not-whole",
         "delta-zero", "delta-negative", "fixed-p-float", "fixed-tol",
-        "override-not-a-number", "override-c-negative"])
+        "override-not-a-number", "override-c-negative", "fixed-swept-n",
+        "override-swept-delta"])
 def test_bad_study_spec_exits_1(tmp_path, capsys, spec):
     path = write_json(tmp_path / "s.json", spec)
     assert cli.main(["study", path, "--out", str(tmp_path / "r")]) == 1

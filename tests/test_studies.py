@@ -88,6 +88,26 @@ class TestSpecValidation:
         assert h_spec().name == "h-smooth"
         assert h_spec(name="mine").name == "mine"
 
+    @pytest.mark.parametrize("kind,required", [
+        ("h", ["p", "q", "tau"]), ("tau", ["n", "p", "q"]), ("pq", ["n", "tau"]),
+        ("delta", ["n", "p", "q", "tau"]), ("cfl", ["p", "q", "tau"])])
+    def test_required_fixed_keys_follow_from_the_sweep(self, kind, required):
+        # written out by hand: the sweep table must derive exactly these
+        with pytest.raises(ValueError) as err:
+            StudySpec(kind=kind, case="smooth", sweep=[2])
+        assert str(err.value) == f"{kind}-study is missing fixed parameters {required}"
+
+    @pytest.mark.parametrize("kind,sweep,fixed,overrides,key", [
+        ("h", [2, 4], {"n": 16, "p": 1, "q": 2, "tau": 0.25}, {}, "n"),
+        ("pq", [2, 3], {"n": 2, "p": 5, "tau": 0.25}, {}, "p"),
+        ("delta", [1e-3, 1e-2], {"n": 2, "p": 1, "q": 2, "tau": 0.25}, {"delta": 0.3},
+         "delta")], ids=["h-fixed-n", "pq-fixed-p", "delta-override"])
+    def test_key_the_sweep_sets_is_rejected(self, kind, sweep, fixed, overrides, key):
+        # the sweep values would overwrite it
+        with pytest.raises(ValueError, match=f"sweeps '{key}'"):
+            StudySpec(kind=kind, case="smooth", sweep=sweep, fixed=fixed,
+                      case_overrides=overrides)
+
 
 class TestConfigExpansion:
     def test_h_kind_sweeps_n(self):
@@ -110,6 +130,15 @@ class TestConfigExpansion:
                          sweep=[1e-2, 1e-4],
                          fixed={"n": 2, "p": 1, "q": 2, "tau": 0.25})
         assert [c.case.delta for c in spec.configs()] == [1e-2, 1e-4]
+
+    def test_delta_baseline_config(self):
+        spec = StudySpec(kind="delta", case="smooth", sweep=[1e-2, 1e-4],
+                         fixed={"n": 3, "p": 2, "q": 3, "tau": 0.25},
+                         case_overrides={"k": 0.25, "c": 2.0})
+        base = spec.config(0.0)
+        assert base.case.delta == 0.0
+        assert (base.case.k, base.case.c) == (0.25, 2.0)
+        assert (base.n, base.p, base.q, base.tau) == (3, 2, 3, 0.25)
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +312,21 @@ def test_data_only_study_leaves_error_cells_empty(tmp_path):
     paths = write_study_outputs(result, tmp_path, plot=True)
     assert sorted(paths) == ["csv", "json"]
     assert not (tmp_path / f"{spec.name}.svg").exists()
+
+
+def test_numpy_scalars_write_plain_cells(tmp_path):
+    def csv_text(tau, k):
+        spec = h_spec(sweep=[2], fixed={"p": 1, "q": 2, "tau": tau},
+                      case_overrides={"k": k})
+        rows = run_study(spec).rows
+        for row in rows:
+            row["runtime_s"] = None
+        write_csv(rows, tmp_path / "s.csv")
+        return (tmp_path / "s.csv").read_text()
+
+    text = csv_text(np.float64(0.5), np.float64(0.5))
+    assert "np." not in text
+    assert text == csv_text(0.5, 0.5)
 
 
 def test_summary_times_error_functionals(h_result):

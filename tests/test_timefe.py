@@ -62,6 +62,35 @@ def test_equal_slab_lengths_share_one_value():
     assert near.taus[1] - near.taus[0] > 9e-10
 
 
+def _snapped_one_by_one(taus, tol):
+    # the former rule: each slab takes the value of the first earlier slab within tol
+    taus = np.array(taus)
+    for i in range(1, taus.size):
+        taus[i] = taus[np.argmax(np.abs(taus[:i + 1] - taus[i]) <= tol)]
+    return taus
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_length_snapping_matches_the_slab_by_slab_rule(seed):
+    rng = np.random.default_rng(seed)
+    tol = 1e-12   # T < 1
+    # a few lengths, each jittered by offsets just inside and just outside tol
+    base = rng.uniform(0.01, 0.02, size=3)
+    offsets = rng.choice([0.0, 0.6, 0.95, 1.05, 1.6, -0.6, -0.95, -1.05], size=40) * tol
+    bp = np.concatenate([[0.0], np.cumsum(rng.choice(base, size=40) + offsets)])
+    part = TimePartition.from_breakpoints(bp)
+    assert np.array_equal(part.taus, _snapped_one_by_one(np.diff(bp), tol))
+    # some slabs took another's length, and some within 2 tol kept their own
+    assert len(set(part.taus)) < part.n_slabs
+    gaps = np.abs(np.subtract.outer(part.taus, part.taus))
+    assert np.any((gaps > 0) & (gaps < 2 * tol))
+
+
+def test_many_equal_slabs_share_one_length():
+    part = TimePartition.from_breakpoints(np.linspace(0.0, 1.0, 10001))
+    assert part.n_slabs == 10000 and len(set(part.taus)) == 1
+
+
 def test_locate():
     part = TimePartition.from_breakpoints([0.0, 0.4, 1.0])
     n, s = part.locate(0.7)

@@ -8,7 +8,7 @@ the path (run it once per source tree, each with its own PYTHONPATH) and
 writes, per configuration, the solution modes and breakpoint values, the
 per-slab iterations, increments and guard margins `coeff_min`, and both
 error functionals where the case has a closed-form solution; then the rows
-of a small `h` and `delta` study, every cell except the timings; then, per
+of a small study of each kind, every cell except the timings; then, per
 space of GEOMETRY, the dofmap (free dofs, cell dofs, dof coordinates), the
 quadrature points of the three rules and point values of an interpolant.
 `compare` checks every array of A against B with np.array_equal (NaN equal
@@ -37,6 +37,9 @@ STUDIES = {
     "h": dict(kind="h", case="smooth", sweep=[2, 4], fixed={"p": 2, "q": 3, "tau": 0.25}),
     "delta": dict(kind="delta", case="smooth", sweep=[1e-3, 1e-2],
                   fixed={"n": 4, "p": 2, "q": 2, "tau": 0.25}),
+    "tau": dict(kind="tau", case="smooth", sweep=[0.5, 0.25], fixed={"n": 3, "p": 2, "q": 2}),
+    "pq": dict(kind="pq", case="smooth", sweep=[2, 3], fixed={"n": 2, "tau": 0.5}),
+    "cfl": dict(kind="cfl", case="smooth", sweep=[2, 3], fixed={"p": 1, "q": 2, "tau": 1.0}),
 }
 
 TIMINGS = ("runtime_s", "runtime_err_s")
