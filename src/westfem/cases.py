@@ -7,7 +7,9 @@ the other two prescribe data only.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from numbers import Integral, Real
 from typing import Callable, ClassVar, Optional
 
@@ -56,6 +58,58 @@ def _is_finite_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool) and bool(np.isfinite(value))
 
 
+# The smooth cases' spatial factors, memoised per read-only coordinate
+# array.  ElementData.sample hands every callable the same two read-only
+# views of a rule's points, at every slab and sampled time, so sin(l x),
+# cos(l x), sin(l y), cos(l y) and S = sin(l x) sin(l y) are computed once
+# per rule and dropped when the rule's arrays are freed.  An entry is keyed
+# by what it computes, (factor, l) under the ids of its arrays, never by a
+# case, so cases with equal l share it.  The lambdas multiply the factors in
+# the order they always did, so every product keeps its bits.
+_FACTORS: dict = {}          # (id(a), ...) -> {(factor, l): values}
+
+
+def _sin_product(ell, x, y):
+    return np.sin(ell * x) * np.sin(ell * y)
+
+
+_FACTOR_BUILDS = {
+    "sin": lambda ell, a: np.sin(ell * a),
+    "cos": lambda ell, a: np.cos(ell * a),
+    "S": _sin_product,
+}
+
+
+def _read_only(a) -> bool:
+    """No numpy write can change a: it and every array it views are read-only."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
+def _factor(name: str, ell, *arrays):
+    """_FACTOR_BUILDS[name](ell, *arrays), memoised while the arrays live
+    if all of them are read-only.  Threads that share a rule need no lock:
+    each dict method is atomic, and a race at worst builds a factor twice."""
+    if not all(map(_read_only, arrays)):
+        return _FACTOR_BUILDS[name](ell, *arrays)
+    key = tuple(map(id, arrays))
+    entry = _FACTORS.get(key)
+    if entry is None:
+        entry = _FACTORS.setdefault(key, {})
+        for a in arrays:   # the first array to die drops the entry
+            weakref.finalize(a, _FACTORS.pop, key, None)
+    values = entry.get((name, ell))
+    if values is None:
+        values = _FACTOR_BUILDS[name](ell, *arrays)
+        if isinstance(values, np.ndarray):   # not a numpy scalar, from 0-d arrays
+            values.flags.writeable = False
+        values = entry.setdefault((name, ell), values)
+    return values
+
+
 def smooth_case(A: float = 1e-2, omega: float = np.pi / 3.0, ell: float = np.pi,
                 k: float = 0.5, c: float = 1.0, delta: float = 6e-9,
                 T: float = 1.0, name: str = "smooth") -> ManufacturedCase:
@@ -64,11 +118,13 @@ def smooth_case(A: float = 1e-2, omega: float = np.pi / 3.0, ell: float = np.pi,
         f = -A w^2 sin(wt) S + k A^2 w^2 cos(2wt) S^2
             + 2 c^2 l^2 A sin(wt) S + 2 delta l^2 A w cos(wt) S.
     """
-    def S(x, y):
-        return np.sin(ell * x) * np.sin(ell * y)
+    S, sin, cos = (partial(_factor, name, ell) for name in ("S", "sin", "cos"))
 
+    # f and u1 are sampled on the solve's rules, whose arrays live through
+    # the slab LU, so they compute S at every call: a memoised S would add to
+    # the solve's peak memory and save a few sines per slab
     def f(x, y, t):
-        s = S(x, y)
+        s = _sin_product(ell, x, y)
         return (-A * omega ** 2 * np.sin(omega * t) * s
                 + k * A ** 2 * omega ** 2 * np.cos(2.0 * omega * t) * s * s
                 + 2.0 * c * c * ell * ell * A * np.sin(omega * t) * s
@@ -78,12 +134,12 @@ def smooth_case(A: float = 1e-2, omega: float = np.pi / 3.0, ell: float = np.pi,
         name=name, c=c, k=k, delta=delta, T=T, f=f,
         u=lambda x, y, t: A * np.sin(omega * t) * S(x, y),
         dtu=lambda x, y, t: A * omega * np.cos(omega * t) * S(x, y),
-        grad_u=lambda x, y, t: (A * np.sin(omega * t) * ell * np.cos(ell * x) * np.sin(ell * y),
-                                A * np.sin(omega * t) * ell * np.sin(ell * x) * np.cos(ell * y)),
-        grad_dtu=lambda x, y, t: (A * omega * np.cos(omega * t) * ell * np.cos(ell * x) * np.sin(ell * y),
-                                  A * omega * np.cos(omega * t) * ell * np.sin(ell * x) * np.cos(ell * y)),
+        grad_u=lambda x, y, t: (A * np.sin(omega * t) * ell * cos(x) * sin(y),
+                                A * np.sin(omega * t) * ell * sin(x) * cos(y)),
+        grad_dtu=lambda x, y, t: (A * omega * np.cos(omega * t) * ell * cos(x) * sin(y),
+                                  A * omega * np.cos(omega * t) * ell * sin(x) * cos(y)),
         u0=None, u0_grad=None,   # sin(0) = 0: zero initial displacement
-        u1=lambda x, y: A * omega * S(x, y))
+        u1=lambda x, y: A * omega * _sin_product(ell, x, y))
 
 
 def smooth_fast_case(**kw) -> ManufacturedCase:

@@ -122,6 +122,11 @@ class FESpace:
         return self._solver("mass").solve(rhs_free)
 
 
+# elements per block of an error kernel: its temporaries stay in cache, and
+# only the final sum runs over all elements, as it did unblocked
+ERROR_BLOCK = 512
+
+
 class ElementData:
     """Reference basis tables and geometry factors for one quadrature rule.
 
@@ -134,9 +139,10 @@ class ElementData:
       residual and the trace loads handed between slabs;
     - `ed_err`, degree max(2p+2, 12): the error and data functionals.
 
-    Callers sample data with `sample`, integrate with `integrate` and
-    assemble through the kernels below; the geometry and weights stay inside
-    this module.
+    Callers sample data with `sample`, integrate with `integrate`, score
+    errors with `value_error` and `gradient_error` (one coefficient row and
+    one sampled time per call) and assemble through the kernels below; the
+    geometry and weights stay inside this module.
 
     Layout rule: the per-call kernels (values, gradients, loads) hand einsum
     operands laid out so that its loops are vectorised over the element axis
@@ -164,7 +170,11 @@ class ElementData:
     einsum would pick is slower (about 2x for `function_values_multi` at
     n = 32).  `function_values` is a BLAS matmul instead, which orders its
     sums differently: it agrees with `function_values_multi` only to
-    round-off, so a call site must not switch between the two.
+    round-off, so a call site must not switch between the two.  The error
+    kernels run the same einsums on blocks of ERROR_BLOCK elements, whose
+    sums over l do not depend on the block, and write each block's weighted
+    squared error into one C-ordered (nt, nq) array, so their final np.sum
+    adds in the order of the unblocked forms.
     """
 
     def __init__(self, space: FESpace, degree: int):
@@ -187,6 +197,10 @@ class ElementData:
         inv /= self.detj[:, None, None]
         self.jinv = inv                                  # J^{-1}
         self.phys = map_to_cells(mesh, pts)              # (nt, nq, 2)
+        # read-only, and `sample` hands every callable these same two views,
+        # so a callable may memoise what it computes from them (cases.py does)
+        self.phys.flags.writeable = False
+        self.xy = (self.phys[:, :, 0], self.phys[:, :, 1])
         self.gdofs = space.cell_dofs
         self.gdofs_lt = np.ascontiguousarray(space.cell_dofs.T)
         self.n_dof = space.n_dof
@@ -195,12 +209,13 @@ class ElementData:
         """g(x, y, *t) at the quadrature points, broadcast to (nt, nq); a
         callable returning a tuple (a vector field) gets each entry broadcast.
 
-        A 1-D array of m times gives (m, nt, nq): g sees them as t[:, None,
-        None], so a broadcasting g computes its spatial factors once for all
-        m times, each entry by the same operations as a scalar-time call."""
+        x and y are the two read-only views `xy`, the same objects at every
+        call.  A 1-D array of m times gives (m, nt, nq): g sees them as
+        t[:, None, None], and a broadcasting g forms each entry by the same
+        operations as a scalar-time call."""
         t = [np.asarray(s)[:, None, None] if np.ndim(s) == 1 else s for s in t]
         shape = np.broadcast_shapes(self.wdetj.shape, *map(np.shape, t))
-        v = g(self.phys[:, :, 0], self.phys[:, :, 1], *t)
+        v = g(*self.xy, *t)
         if isinstance(v, tuple):
             return tuple(np.broadcast_to(c, shape) for c in v)
         return np.broadcast_to(v, shape)
@@ -216,12 +231,49 @@ class ElementData:
 
     def function_gradients(self, coeffs: np.ndarray) -> np.ndarray:
         """Physical gradients at quadrature points; (nt, nq, 2)."""
-        gref = np.einsum("tl,lqd->dtq", coeffs[self.gdofs], self.grads_lqd)
-        out = np.empty(gref.shape[1:] + (2,))
+        return np.stack(self._gradient_components(coeffs[self.gdofs], self.jinv), axis=2)
+
+    def _gradient_components(self, local: np.ndarray, jinv: np.ndarray) -> list:
+        """The two physical gradient components of element coefficients local
+        (nt, nl) with inverse Jacobians jinv, each a C-contiguous (nt, nq)."""
+        gref = np.einsum("tl,lqd->dtq", local, self.grads_lqd)
+        out = []
         for e in range(2):                               # sum_d gref_d J^{-1}_de
-            np.multiply(gref[0], self.jinv[:, 0, e, None], out=out[:, :, e])
-            out[:, :, e] += gref[1] * self.jinv[:, 1, e, None]
+            c = np.multiply(gref[0], jinv[:, 0, e, None], out=np.empty(gref.shape[1:]))
+            c += gref[1] * jinv[:, 1, e, None]
+            out.append(c)
         return out
+
+    def _blocks(self):
+        nt = len(self.detj)
+        return [slice(s, s + ERROR_BLOCK) for s in range(0, nt, ERROR_BLOCK)]
+
+    def value_error(self, coeffs: np.ndarray, exact) -> float:
+        """Integral of (u_h - exact)^2 for the FE function `coeffs` and
+        `exact` given at the quadrature points (nt, nq).  The values are
+        function_values_multi's for one row, bit for bit."""
+        local = coeffs[self.gdofs_lt]
+        e = np.empty(self.wdetj.shape)
+        for b in self._blocks():
+            d = np.subtract(np.einsum("lt,ql->tq", local[:, b], self.vals), exact[b], out=e[b])
+            d *= d
+            d *= self.wdetj[b]
+        return float(np.sum(e))
+
+    def gradient_error(self, coeffs: np.ndarray, exact) -> float:
+        """Integral of |grad u_h - exact|^2 for the FE function `coeffs` and
+        a vector field `exact` = (gx, gy) given at the quadrature points."""
+        local = coeffs[self.gdofs]
+        e = np.empty(self.wdetj.shape)
+        for b in self._blocks():
+            ex, ey = self._gradient_components(local[b], self.jinv[b])
+            ex -= exact[0][b]
+            ex *= ex
+            ey -= exact[1][b]
+            ey *= ey
+            ex += ey
+            np.multiply(ex, self.wdetj[b], out=e[b])
+        return float(np.sum(e))
 
     def function_values_multi(self, coeffs: np.ndarray) -> np.ndarray:
         """Batched function_values for coefficient rows; (m, n_dof) -> (m, nt, nq)."""

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,6 +43,10 @@ SWEEPS = {
 KINDS = tuple(SWEEPS)
 
 
+def _plain(v):
+    return v.item() if isinstance(v, np.generic) else v
+
+
 @dataclass
 class StudySpec:
     """One sweep: which parameter varies, and the fixed remainder."""
@@ -55,6 +59,10 @@ class StudySpec:
     name: str | None = None
 
     def __post_init__(self):
+        # plain Python scalars, so the summary serialises whatever the caller passed
+        self.sweep = [_plain(v) for v in self.sweep]
+        self.fixed = {key: _plain(v) for key, v in self.fixed.items()}
+        self.case_overrides = {key: _plain(v) for key, v in self.case_overrides.items()}
         if self.kind not in KINDS:
             raise ValueError(f"unknown study kind {self.kind!r}; one of {KINDS}")
         if not self.sweep:
@@ -141,13 +149,21 @@ def run_study(spec: StudySpec, threads: int = 1, strict: bool = False) -> StudyR
         ref = cfg.case if baseline is None else baseline.result()[2]
         return result_row(cfg, sol, rep, ref)
 
-    # map cancels the queued entries when one raises, so strict stops the sweep
     with ThreadPoolExecutor(max_workers=threads) as pool:
         if spec.kind == "delta":
             shared_space = FESpace(unit_square_mesh(configs[0].n), configs[0].p)
             # the queue is FIFO: the baseline starts before any entry waits on it
             baseline = pool.submit(run_problem, spec.config(0.0), shared_space)
-        entries = list(pool.map(work, configs))
+        # the largest solves first, so the last task to start is a short one
+        futures = [None] * len(configs)
+        for i in sorted(range(len(configs)), key=lambda i: _work(configs[i]), reverse=True):
+            futures[i] = pool.submit(work, configs[i])
+        done, pending = wait(futures, return_when=FIRST_EXCEPTION)
+        for f in pending:           # an entry raised (strict): stop the sweep
+            f.cancel()
+        for f in done:              # raise that entry's error, not a cancellation
+            f.result()
+        entries = [f.result() for f in futures]
         if baseline is not None:
             baseline.result()       # raises even when every entry failed
 
@@ -160,6 +176,12 @@ def run_study(spec: StudySpec, threads: int = 1, strict: bool = False) -> StudyR
 
     _fill_eoc(spec, rows)
     return StudyResult(spec, rows, failures, _summary(spec, rows, failures))
+
+
+def _work(cfg: ProblemConfig) -> int:
+    """Relative size of one solve: space-time unknowns (p n + 1)^2 q per slab,
+    times the slabs."""
+    return (cfg.p * cfg.n + 1) ** 2 * cfg.q * cfg.partition.n_slabs
 
 
 def config_cells(cfg: ProblemConfig) -> dict:
@@ -251,10 +273,9 @@ def write_csv(rows: list, path: Path):
 
 
 def write_summary(summary: dict, path: Path):
+    text = json.dumps(summary, indent=2) + "\n"   # a failure leaves no partial file
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    path.write_text(text)
 
 
 def write_plot(result: StudyResult, path: Path) -> bool:

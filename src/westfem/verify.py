@@ -109,10 +109,7 @@ def _l2_err(space: FESpace, coeffs, g) -> float:
 
 def _h1_err(space: FESpace, coeffs, grad_g) -> float:
     ed = space.ed_err
-    gr = ed.function_gradients(coeffs)
-    gx, gy = ed.sample(grad_g)
-    e = (gr[:, :, 0] - gx) ** 2 + (gr[:, :, 1] - gy) ** 2
-    return float(np.sqrt(ed.integrate(e)))
+    return float(np.sqrt(ed.gradient_error(coeffs, ed.sample(grad_g))))
 
 
 def _sin_product():

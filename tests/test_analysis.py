@@ -137,3 +137,26 @@ def test_energy_norm_positive_and_monotone_in_delta(smooth_run):
 def test_data_functional_positive(smooth_run):
     space, part, _, _ = smooth_run
     assert data_functional(space, part, get_case("smooth")) > 0
+
+
+def test_err_linf_l2_builds_each_factor_once_per_rule(monkeypatch):
+    import westfem.cases as cases
+
+    case = get_case("smooth")
+    _, part, sol, _ = run_problem(ProblemConfig(case=case, n=3, p=2, q=2, tau=0.25))
+    builds = []
+    for name, build in list(cases._FACTOR_BUILDS.items()):
+        monkeypatch.setitem(cases._FACTOR_BUILDS, name,
+                            lambda ell, *a, name=name, build=build:
+                            builds.append((name, tuple(map(id, a)))) or build(ell, *a))
+    assert part.n_slabs == 4
+    for mode in ("dt", "grad"):
+        err_linf_l2(sol, case, mode)
+    x, y = (id(a) for a in sol.space.ed_err.xy)
+    # dt builds S once; grad builds the two sines and the two cosines once
+    assert sorted(builds) == sorted([("S", (x, y)), ("sin", (x,)), ("sin", (y,)),
+                                     ("cos", (x,)), ("cos", (y,))])
+    builds.clear()
+    for mode in ("dt", "grad"):
+        err_linf_l2(sol, case, mode)
+    assert builds == []

@@ -324,3 +324,26 @@ def test_lazy_cache_builds_once_under_thread_contention(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(seen) == 8 and len(builds) == 1
     assert all(all(a is b for a, b in zip(s, seen[0])) for s in seen)
+
+
+@pytest.mark.parametrize("n,p,deg", [(3, 1, 12), (3, 2, 12), (2, 5, 17), (17, 1, 12)])
+def test_error_kernels_match_their_written_out_forms(n, p, deg):
+    # per-row values equal function_values_multi's row; the squared errors
+    # are summed over the same C-ordered (nt, nq) products as before, also
+    # when the kernels work in element blocks (n = 17: 578 triangles)
+    space = make_space(n, p)
+    ed = space.element_data(deg)
+    assert (n == 17) == (space.mesh.n_triangles > spacefe.ERROR_BLOCK)
+    rng = np.random.default_rng(deg + p)
+    rows = rng.standard_normal((3, space.n_dof))
+    exact = rng.standard_normal((3,) + ed.wdetj.shape)
+    for row, fe, ex in zip(rows, ed.function_values_multi(rows), exact):
+        assert ed.value_error(row, ex) == float(np.sum((fe - ex) * (fe - ex) * ed.wdetj))
+        g = ed.function_gradients(row)
+        e = (g[:, :, 0] - ex) ** 2 + (g[:, :, 1] - 2.0 * ex) ** 2
+        assert ed.gradient_error(row, (ex, 2.0 * ex)) == float(np.sum(e * ed.wdetj))
+    # a broadcast exact value (a callable that ignores x, y) is read, never written
+    const = ed.sample(lambda x, y: 0.5)
+    assert not const.flags.writeable
+    fe = ed.function_values_multi(rows[:1])[0]
+    assert ed.value_error(rows[0], const) == float(np.sum((fe - 0.5) ** 2 * ed.wdetj))

@@ -1,6 +1,7 @@
 """Study driver: spec validation, sweep execution, CSV/JSON/SVG output."""
 
 import csv
+import json
 import threading
 import time
 import xml.etree.ElementTree as ET
@@ -15,7 +16,7 @@ from westfem.analysis import err_linf_l2
 from westfem.cases import run_problem
 from westfem.errors import SolverFailure
 from westfem.studies import (CSV_COLUMNS, StudySpec, run_study, write_csv,
-                             write_study_outputs)
+                             write_study_outputs, write_summary)
 
 
 def h_spec(**kw):
@@ -357,3 +358,44 @@ def test_threaded_delta_study_builds_each_operator_once(monkeypatch):
     for name in ("assemble_mass", "assemble_stiffness", "splu"):
         assert builds[(name,)] == 1, builds
     assert all(count == 1 for count in builds.values()), builds
+
+
+def test_entries_start_largest_first_and_rows_keep_sweep_order(monkeypatch):
+    started = []
+
+    def recording(cfg, *args, **kwargs):
+        started.append((cfg.n, cfg.tau, cfg.case.delta))
+        return run_problem(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(studies, "run_problem", recording)
+    h = run_study(h_spec(sweep=[2, 3, 4]))
+    assert [n for n, _, _ in started] == [4, 3, 2]
+    assert [r["n"] for r in h.rows] == [2, 3, 4]
+    started.clear()
+    tau = run_study(StudySpec(kind="tau", case="smooth", sweep=[0.5, 0.25],
+                              fixed={"n": 2, "p": 1, "q": 2}))
+    assert [t for _, t, _ in started] == [0.25, 0.5]
+    assert [r["tau"] for r in tau.rows] == [0.5, 0.25]
+    started.clear()
+    # equal work keeps the sweep order, after the baseline
+    delta = run_study(delta_spec())
+    assert [d for _, _, d in started] == [0.0, 1e-3, 1e-2]
+    assert [r["delta"] for r in delta.rows] == [1e-3, 1e-2]
+
+
+def test_numpy_scalar_spec_writes_its_summary(tmp_path):
+    spec = StudySpec(kind="h", case="smooth", sweep=list(np.array([2, 3])),
+                     fixed={"p": np.int64(1), "q": 2, "tau": np.float64(0.5)},
+                     case_overrides={"k": np.float64(0.25)})
+    paths = write_study_outputs(run_study(spec), tmp_path)
+    summary = json.loads(open(paths["json"]).read())
+    assert summary["sweep"] == [2, 3]
+    assert summary["fixed"] == {"p": 1, "q": 2, "tau": 0.5}
+    assert summary["case_overrides"] == {"k": 0.25}
+    assert [type(v) for v in spec.sweep] == [int, int]
+
+
+def test_unserialisable_summary_leaves_no_file(tmp_path):
+    with pytest.raises(TypeError):
+        write_summary({"rows": 1, "bad": object()}, tmp_path / "s.json")
+    assert not (tmp_path / "s.json").exists()

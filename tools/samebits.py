@@ -6,11 +6,14 @@
 `dump` solves a fixed set of small configurations with the westfem found on
 the path (run it once per source tree, each with its own PYTHONPATH) and
 writes, per configuration, the solution modes and breakpoint values, the
-per-slab iterations, increments and guard margins `coeff_min`, and both
-error functionals where the case has a closed-form solution; then the rows
-of a small study of each kind, every cell except the timings; then, per
-space of GEOMETRY, the dofmap (free dofs, cell dofs, dof coordinates), the
-quadrature points of the three rules and point values of an interpolant.
+per-slab iterations, increments and guard margins `coeff_min`, and, where
+the case has a closed-form solution, both error functionals (on the default
+rule and sampling, on the rule of degree 2p + 8 and at 3(2q + 3) samples
+per slab) and the data functional; then the rows of a small study of each
+kind, every cell except the timings; then, per space of GEOMETRY, the dofmap
+(free dofs, cell dofs, dof coordinates), the quadrature points of the three
+rules, `smooth`'s f, dtu and grad_u sampled on each rule at one time and at
+an array of times, and point values of an interpolant.
 `compare` checks every array of A against B with np.array_equal (NaN equal
 to NaN), prints each key that is missing or differs, and exits 1 if any
 does.
@@ -31,6 +34,7 @@ SOLVES = {
     "gaussian-pulse": ("gaussian-pulse", {"T": 4e-5}, 16, 2, 3, 1e-5),
     "graded": ("smooth", {}, 4, 2, 3, [0.0, 0.25, 0.5, 0.6, 1.0]),
     "k-negative": ("smooth", {"k": -2.0}, 4, 3, 2, 0.25),
+    "blocks": ("smooth", {}, 17, 1, 2, 0.25),   # 578 triangles: two error-kernel blocks
 }
 
 STUDIES = {
@@ -61,6 +65,11 @@ def _solve(wf, label, overrides, n, p, q, steps):
     if case.u is not None:
         for mode in ("dt", "grad"):
             out[f"err_{mode}"] = np.array(wf.err_linf_l2(sol, case, mode))
+            out[f"err_{mode}_deg2p+8"] = np.array(
+                wf.err_linf_l2(sol, case, mode, quad_degree=2 * p + 8))
+            out[f"err_{mode}_3x_samples"] = np.array(
+                wf.err_linf_l2(sol, case, mode, samples_per_slab=3 * (2 * q + 3)))
+        out["data_functional"] = np.array(wf.data_functional(space, part, case))
     return out
 
 
@@ -68,10 +77,14 @@ def _geometry(wf, n, p):
     space = wf.FESpace(wf.unit_square_mesh(n), p)
     out = {"free_dofs": space.free_dofs, "cell_dofs": space.cell_dofs,
            "dof_coords": space.dof_coords}
+    smooth = wf.get_case("smooth")
     for rule in ("ed_lin", "ed_nl", "ed_err"):
         ed = getattr(space, rule)
         out[f"{rule}/x"] = ed.sample(lambda x, y: x)
         out[f"{rule}/y"] = ed.sample(lambda x, y: y)
+        for when, t in (("t", 0.3), ("times", np.linspace(0.0, 1.0, 5))):
+            for name in ("f", "dtu", "grad_u"):
+                out[f"{rule}/smooth-{name}-{when}"] = ed.sample(getattr(smooth, name), t)
     # 41 x 41 points with the square's edges and corners (and, at n = 4, cell edges)
     xg, yg = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 41))
     coeffs = wf.interpolate(space, lambda x, y: np.sin(3 * x + 1) * np.cos(2 * y) + x * y)
