@@ -229,10 +229,6 @@ class ElementData:
         local = coeffs[self.gdofs]                       # (nt, nl)
         return local @ self.vals.T
 
-    def function_gradients(self, coeffs: np.ndarray) -> np.ndarray:
-        """Physical gradients at quadrature points; (nt, nq, 2)."""
-        return np.stack(self._gradient_components(coeffs[self.gdofs], self.jinv), axis=2)
-
     def _gradient_components(self, local: np.ndarray, jinv: np.ndarray) -> list:
         """The two physical gradient components of element coefficients local
         (nt, nl) with inverse Jacobians jinv, each a C-contiguous (nt, nq)."""

@@ -1,45 +1,23 @@
+"""Unit-square mesh: triangle order, edges and point location.  Counts,
+orientation, total area, boundary flags and mesh size are checked by the
+`mesh-integrity` verify suite."""
+
 import numpy as np
 import pytest
 
-from westfem.mesh import edge_table, locate, map_to_cells, mesh_size, unit_square_mesh
+from westfem.mesh import edge_table, locate, map_to_cells, unit_square_mesh
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_counts(n):
-    mesh = unit_square_mesh(n)
-    assert mesh.n_vertices == (n + 1) ** 2
-    assert mesh.n_triangles == 2 * n ** 2
     # cells row by row, lower triangle first
+    mesh = unit_square_mesh(n)
     tris = []
     for iy in range(n):
         for ix in range(n):
             v00 = iy * (n + 1) + ix
             tris += [[v00, v00 + 1, v00 + n + 2], [v00, v00 + n + 2, v00 + n + 1]]
     assert mesh.triangles.tolist() == tris
-
-
-@pytest.mark.parametrize("n", [2, 4, 7])
-def test_positive_orientation_and_total_area(n):
-    mesh = unit_square_mesh(n)
-    v = mesh.vertices[mesh.triangles]
-    e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
-    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    assert np.all(areas > 0)
-    assert abs(areas.sum() - 1.0) < 1e-14
-
-
-@pytest.mark.parametrize("n", [1, 3, 6])
-def test_boundary_flags(n):
-    mesh = unit_square_mesh(n)
-    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
-    on_bnd = (np.isclose(x, 0) | np.isclose(x, 1)
-              | np.isclose(y, 0) | np.isclose(y, 1))
-    assert np.array_equal(mesh.boundary_vertex, on_bnd)
-
-
-def test_mesh_size():
-    for n in (1, 2, 5, 10):
-        assert abs(mesh_size(unit_square_mesh(n)) - np.sqrt(2.0) / n) < 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 4])

@@ -1,46 +1,16 @@
-"""Combined space-time projection used in the error analysis."""
+"""Combined space-time projection used in the error analysis; its exact
+reproduction of a polynomial is checked by the `projection-rates` suite."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from westfem.cases import ManufacturedCase, get_case
+from westfem.cases import get_case
 from westfem.mesh import unit_square_mesh
 from westfem.projection import combined_project
-from westfem.spacefe import FESpace, interpolate, ritz_project
+from westfem.spacefe import FESpace, ritz_project
 from westfem.timefe import TimePartition
-
-
-def _polynomial_case():
-    # u = (t^2 + 1) x(1-x) y(1-y); only the fields the projection touches
-    def w(x, y):
-        return x * (1 - x) * y * (1 - y)
-
-    def grad_w(x, y):
-        return ((1 - 2 * x) * y * (1 - y), x * (1 - x) * (1 - 2 * y))
-
-    return ManufacturedCase(
-        name="poly", c=1.0, k=0.0, delta=0.0, T=1.0,
-        f=lambda x, y, t: 0.0 * x,
-        u=lambda x, y, t: (t * t + 1) * w(x, y),
-        dtu=lambda x, y, t: 2 * t * w(x, y),
-        grad_u=lambda x, y, t: tuple((t * t + 1) * g for g in grad_w(x, y)),
-        grad_dtu=lambda x, y, t: tuple(2 * t * g for g in grad_w(x, y)),
-        u0=lambda x, y: w(x, y),
-        u0_grad=grad_w,
-        u1=lambda x, y: 0.0 * x)
-
-
-def test_polynomial_case_reproduced_exactly():
-    space = FESpace(unit_square_mesh(2), 4)
-    part = TimePartition.uniform(1.0, 0.25)
-    proj = combined_project(space, part, 3, _polynomial_case())
-    w = interpolate(space, lambda x, y: x * (1 - x) * y * (1 - y))
-    for t in (0.0, 0.3, 0.75, 1.0):
-        side = "left" if t == 1.0 else "right"
-        err = proj.value(t, side=side) - (t * t + 1) * w
-        assert np.max(np.abs(err)) < 1e-11, t
 
 
 def test_start_value_is_ritz_projection():

@@ -1,49 +1,11 @@
-"""Reference triangle: quadrature exactness and Lagrange basis properties."""
-
-import math
+"""Reference triangle: basis gradients.  Quadrature exactness and the
+nodal, partition-of-unity and gradient-sum properties of the basis are
+checked by the `quadrature` and `reference-element` verify suites."""
 
 import numpy as np
 import pytest
 
-from westfem.refelem import reference_element, triangle_quadrature
-from westfem.timefe import gauss_interval
-
-
-@pytest.mark.parametrize("degree", [1, 2, 4, 7, 10, 14])
-def test_quadrature_monomial_exactness(degree):
-    pts, w = triangle_quadrature(degree)
-    for a in range(degree + 1):
-        for b in range(degree + 1 - a):
-            got = float(w @ (pts[:, 0] ** a * pts[:, 1] ** b))
-            # int over the unit triangle: a! b! / (a + b + 2)!
-            exact = (math.factorial(a) * math.factorial(b)
-                     / math.factorial(a + b + 2))
-            assert abs(got - exact) < 1e-14 * max(1.0, 1.0 / exact), (a, b)
-
-
-@pytest.mark.parametrize("degree", [1, 5, 12])
-def test_quadrature_weights(degree):
-    _, w = triangle_quadrature(degree)
-    assert np.all(w > 0)
-    assert abs(w.sum() - 0.5) < 1e-14
-
-
-@pytest.mark.parametrize("p", [1, 2, 3, 5])
-def test_basis_nodal_property(p):
-    ref = reference_element(p)
-    v = ref.eval_basis(ref.nodes)
-    assert np.max(np.abs(v - np.eye(ref.n_nodes))) < 1e-10
-
-
-@pytest.mark.parametrize("p", [1, 3, 6])
-def test_partition_of_unity(p):
-    ref = reference_element(p)
-    rng = np.random.default_rng(3)
-    r = rng.random((40, 2))
-    pts = np.where((r.sum(axis=1) <= 1)[:, None], r, 1 - r[:, ::-1])
-    assert np.max(np.abs(ref.eval_basis(pts).sum(axis=1) - 1)) < 1e-12
-    grads = ref.eval_basis_grad(pts)
-    assert np.max(np.abs(grads.sum(axis=1))) < 1e-9
+from westfem.refelem import reference_element
 
 
 @pytest.mark.parametrize("p", [2, 4])
@@ -56,11 +18,3 @@ def test_basis_gradient_matches_difference_quotient(p):
     grads = ref.eval_basis_grad(pts)
     assert np.max(np.abs(grads[:, :, 0] - gx)) < 1e-7
     assert np.max(np.abs(grads[:, :, 1] - gy)) < 1e-7
-
-
-@pytest.mark.parametrize("npts", [1, 2, 4, 8])
-def test_gauss_interval_exactness(npts):
-    x, w = gauss_interval(npts)
-    assert abs(w.sum() - 1.0) < 1e-14
-    for deg in range(2 * npts):
-        assert abs(float(w @ x ** deg) - 1.0 / (deg + 1)) < 1e-13, deg

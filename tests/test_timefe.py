@@ -1,4 +1,5 @@
-"""Time partitions, shifted Legendre bases, temporal projections, zeta."""
+"""Time partitions, shifted Legendre bases, temporal projections, zeta; the
+P_tau conditions are checked by the `ptau-conditions` verify suite."""
 
 import numpy as np
 import pytest
@@ -197,40 +198,6 @@ def test_l2_projection_orthogonality():
         for deg in range(3):
             m = float(np.sum(w * (np.cos(t) - [proj(tt) for tt in t]) * x ** deg))
             assert abs(m) < 1e-14
-
-
-# hand-computed image: projecting t^3 on a single q=2 slab over (0,1).
-# Conditions P(0)=0, P'(1)=3, and int (P - t^3)' * 1 dt = 0 give P = 2t^2 - t.
-def test_ptau_single_slab_cubic_oracle():
-    part = TimePartition.from_breakpoints([0.0, 1.0])
-    proj = ptau_project(2, lambda t: t ** 3, lambda t: 3 * t ** 2, part)
-    for t in np.linspace(0, 1, 21):
-        assert abs(proj(t) - (2 * t * t - t)) < 1e-13
-
-
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_ptau_interface_conditions(q):
-    part = TimePartition.from_breakpoints([0.0, 0.35, 0.6, 1.0])
-
-    def v(t):
-        return np.sin(2.1 * t + 0.3)
-
-    def dv(t):
-        return 2.1 * np.cos(2.1 * t + 0.3)
-
-    proj = ptau_project(q, v, dv, part)
-    assert abs(proj(0.0) - v(0.0)) < 1e-13
-    for t_n in part.breakpoints[1:]:
-        assert abs(proj.derivative(t_n, side="left") - dv(t_n)) < 1e-11
-    for t_n in part.breakpoints[1:-1]:
-        assert abs(proj(t_n, side="left") - proj(t_n, side="right")) < 1e-12
-
-
-def test_ptau_reproduces_degree_q():
-    part = TimePartition.from_breakpoints([0.0, 0.4, 1.0])
-    proj = ptau_project(3, lambda t: t ** 3 - 2 * t, lambda t: 3 * t ** 2 - 2, part)
-    for t in np.linspace(0, 1, 29):
-        assert abs(proj(t) - (t ** 3 - 2 * t)) < 1e-12
 
 
 def test_zeta_values():

@@ -1,4 +1,5 @@
-"""Self-verification harness: suites pass, and the harness catches defects."""
+"""Self-verification harness: every suite passes, each reported under its own
+test id, and the harness catches defects."""
 
 import pytest
 
@@ -7,36 +8,47 @@ from westfem.timefe import zeta
 from westfem.verify import SUITES, run_verify
 
 
-def test_all_suites_pass(verify_report):
-    failed = [s.name for s in verify_report.suites if not s.passed]
-    assert verify_report.passed, f"failing suites: {failed}"
+@pytest.mark.parametrize("name", list(SUITES))
+def test_suite_passes(verify_report, name):
+    suite = next(s for s in verify_report.suites if s.name == name)
+    assert suite.error is None, suite.error
+    labels = [c.label for c in suite.checks]
+    assert labels, "no checks"
+    # a merged parameter loop must not hide a check behind a repeated label
+    assert len(labels) == len(set(labels)), sorted({x for x in labels if labels.count(x) > 1})
+    failed = [f"{c.label}: {c.info}" for c in suite.checks if not c.passed]
+    assert not failed, "\n".join(failed)
 
 
 def test_suite_inventory(verify_report):
-    assert len(verify_report.suites) >= 12
-    names = [s.name for s in verify_report.suites]
-    assert len(names) == len(set(names))
-    for suite in verify_report.suites:
-        assert suite.error is None
-        assert len(suite.checks) >= 1
+    assert len(SUITES) >= 12
+    assert [s.name for s in verify_report.suites] == list(SUITES)
 
 
 def test_report_summary_lines(verify_report):
-    assert len(verify_report.suites) == len(SUITES)
     lines = verify_report.summary_lines()
     assert len(lines) == len(SUITES) + 1  # one per suite + summary
 
 
-def test_filter_selects_single_suite():
+@pytest.fixture
+def stub_suites(monkeypatch):
+    """Replace the suites by stubs that record which of them ran."""
+    ran = []
+    stubs = {name: lambda ck, name=name: ran.append(name)
+             for name in ("quadrature", "ritz-projection", "time-projection", "determinism")}
+    monkeypatch.setattr(verify, "SUITES", stubs)
+    return ran
+
+
+def test_filter_selects_single_suite(stub_suites):
     report = run_verify(pattern="quadrature")
-    assert [s.name for s in report.suites] == ["quadrature"]
-    assert report.passed
+    assert [s.name for s in report.suites] == stub_suites == ["quadrature"]
 
 
-def test_filter_glob():
+def test_filter_glob(stub_suites):
     report = run_verify(pattern="*projection*")
-    names = {s.name for s in report.suites}
-    assert "ritz-projection" in names and "time-projection" in names
+    assert [s.name for s in report.suites] == stub_suites == ["ritz-projection",
+                                                              "time-projection"]
 
 
 def test_unknown_filter_raises():
