@@ -1,6 +1,6 @@
 """Unit-square mesh: triangle order, edges and point location.  Counts,
 orientation, total area, boundary flags and mesh size are checked by the
-`mesh-integrity` verify suite."""
+`mesh-integrity` verify suite; the ids below report its checks."""
 
 import numpy as np
 import pytest
@@ -18,6 +18,20 @@ def test_counts(n):
             v00 = iy * (n + 1) + ix
             tris += [[v00, v00 + 1, v00 + n + 2], [v00, v00 + n + 2, v00 + n + 1]]
     assert mesh.triangles.tolist() == tris
+
+
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_positive_orientation_and_total_area(suite_checks, n):
+    suite_checks("mesh-integrity", f"n{n}-orientation", f"n{n}-total-area")
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_boundary_flags(suite_checks, n):
+    suite_checks("mesh-integrity", f"n{n}-boundary-flags")
+
+
+def test_mesh_size(suite_checks):
+    suite_checks("mesh-integrity", *(f"n{n}-mesh-size" for n in (1, 2, 5, 10)))
 
 
 @pytest.mark.parametrize("n", [2, 4])

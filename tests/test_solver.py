@@ -1,5 +1,6 @@
 """Slab marching: iteration counts, failure modes, factorization reuse, the
-slab hand-off.  Exactness, zero data, k = 0 and determinism: verify suites."""
+slab hand-off.  Exactness, zero data, k = 0 and determinism: verify suites;
+exactness is reported here from the `polynomial-exactness` checks."""
 
 import weakref
 
@@ -15,6 +16,15 @@ from westfem.solution import DiscreteSolution
 from westfem.solver import slab_residuals, solve_westervelt
 from westfem.spacefe import FESpace
 from westfem.timefe import TimePartition
+
+
+# graded: slab lengths 0.25, 0.25, 0.1, 0.4 need three factorizations
+@pytest.mark.parametrize("part", ["uniform", "graded"])
+def test_polynomial_solution_is_exact(suite_checks, part):
+    reuse = "single-factorization" if part == "uniform" else "one-factorization-per-length"
+    suite_checks("polynomial-exactness",
+                 *(f"q3-{part}-{check}" for check in
+                   ("nodal-values", "nodal-dt", "slab-residuals", reuse)))
 
 
 def test_nonlinear_problem_iterates():

@@ -1,5 +1,6 @@
 """Time partitions, shifted Legendre bases, temporal projections, zeta; the
-P_tau conditions are checked by the `ptau-conditions` verify suite."""
+P_tau conditions are checked by the `ptau-conditions` verify suite, and the
+P_tau ids below report its checks."""
 
 import numpy as np
 import pytest
@@ -198,6 +199,20 @@ def test_l2_projection_orthogonality():
         for deg in range(3):
             m = float(np.sum(w * (np.cos(t) - [proj(tt) for tt in t]) * x ** deg))
             assert abs(m) < 1e-14
+
+
+# hand-computed image: projecting t^3 on a single q=2 slab over (0,1) gives 2t^2 - t
+def test_ptau_single_slab_cubic_oracle(suite_checks):
+    suite_checks("ptau-conditions", "q2-cubic-image")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_ptau_interface_conditions(suite_checks, q):
+    suite_checks("ptau-conditions", f"q{q}-start-value", f"q{q}-end-slopes", f"q{q}-continuity")
+
+
+def test_ptau_reproduces_degree_q(suite_checks):
+    suite_checks("ptau-conditions", "q3-cubic-exact")
 
 
 def test_zeta_values():
