@@ -72,9 +72,8 @@ class SlabWorkspace:
 
     def f_time_loads(self, t_start: float, tau: float) -> np.ndarray:
         """Spatial loads of f at the slab's temporal Gauss nodes; (2q, n_dof)."""
-        ed = self.ed_lin
-        return ed.assemble_pointwise_load_multi(
-            ed.sample(self.case.f, t_start + tau * self.basis.nodes))
+        ed, times = self.ed_lin, t_start + tau * self.basis.nodes
+        return ed.assemble_loads(lambda cells: ed.sample(self.case.f, times, cells=cells))
 
     def time_integrate(self, loads: np.ndarray, tau: float) -> np.ndarray:
         """tau * int_0^1 Lt_i(s) load(s) ds from nodal loads; (2q, dof) -> (q, dof)."""
@@ -117,16 +116,13 @@ def assemble_slab_rhs(ws: SlabWorkspace, state: SlabState) -> np.ndarray:
     return rhs
 
 
-def slab_fields(ws: SlabWorkspace, state: SlabState, modal: np.ndarray):
-    """Iterate given in full modal form (q+1, n_dof) at the nonlinear
-    quadrature points: u, dt u and dtt u on the space-time grid (each
-    (2q, nt, nq)), then dt u(t_{n-1}^+) in space (nt, nq)."""
-    b, ed, tau = ws.basis, ws.ed_nl, state.tau
-    uq = ed.function_values_multi(b.values.T @ modal)
-    dtq = ed.function_values_multi((b.ds.T @ modal) / tau)
-    dttq = ed.function_values_multi((b.dss.T @ modal) / tau ** 2)
-    dtu0_q = ed.function_values((b.d0 @ modal) / tau)
-    return uq, dtq, dttq, dtu0_q
+def _time_fields(ws: SlabWorkspace, state: SlabState, modal: np.ndarray):
+    """Coefficient stacks (2q, n_dof) of u, dt u and dtt u at the slab's
+    temporal nodes for an iterate in full modal form (q+1, n_dof), and
+    dt u(t_{n-1}^+) at the nonlinear quadrature points (nt, nq)."""
+    b, tau = ws.basis, state.tau
+    stacks = (b.values.T @ modal, (b.ds.T @ modal) / tau, (b.dss.T @ modal) / tau ** 2)
+    return stacks, ws.ed_nl.function_values((b.d0 @ modal) / tau)
 
 
 def lagged_rhs(ws: SlabWorkspace, state: SlabState, modal: np.ndarray):
@@ -139,14 +135,19 @@ def lagged_rhs(ws: SlabWorkspace, state: SlabState, modal: np.ndarray):
     1 + k max(u) for k < 0 (NaN if u has a NaN).
     """
     ed, free, k = ws.ed_nl, ws.space.free_dofs, ws.case.k
-    uq, dtq, dttq, dtu0_q = slab_fields(ws, state, modal)
-    coeff_min = 1.0 + k * float(uq.min() if k >= 0 else uq.max())
-    # dt(u dtu) = (dtu)^2 + u dttu, exact for the polynomial integrand; formed
-    # in place on the fields, which keep their (nq, nt, m) memory layout
-    dttq *= uq
-    dtq *= dtq
-    dtq += dttq
-    loads = ed.assemble_pointwise_load_multi(dtq)
+    stacks, dtu0_q = _time_fields(ws, state, modal)
+    extremes = []     # per block; np.min / np.max keep a NaN of any block
+
+    def integrand(cells, uq, dtq, dttq):
+        extremes.append(uq.min() if k >= 0 else uq.max())
+        # dt(u dtu) = (dtu)^2 + u dttu, exact for the polynomial integrand
+        dttq *= uq
+        dtq *= dtq
+        dtq += dttq
+        return dtq
+
+    loads = ed.assemble_loads(integrand, *stacks)
+    coeff_min = 1.0 + k * float(np.min(extremes) if k >= 0 else np.max(extremes))
     out = -k * ws.time_integrate(loads, state.tau)[:, free]
     tload = ed.assemble_pointwise_load(state.u_start_q * dtu0_q)[free]
     out -= k * np.outer(ws.basis.test_start, tload)
@@ -160,8 +161,9 @@ def nonlinear_residual(ws: SlabWorkspace, state: SlabState, modal: np.ndarray) -
     Returns (q, n_free)."""
     b, ed, free, tau = ws.basis, ws.ed_nl, ws.space.free_dofs, state.tau
     c, k, delta = ws.case.c, ws.case.k, ws.case.delta
-    uq, dtq, dttq, dtu0_q = slab_fields(ws, state, modal)
-    loads = ed.assemble_pointwise_load_multi((1.0 + k * uq) * dttq + k * dtq * dtq)
+    stacks, dtu0_q = _time_fields(ws, state, modal)
+    loads = ed.assemble_loads(
+        lambda cells, uq, dtq, dttq: (1.0 + k * uq) * dttq + k * dtq * dtq, *stacks)
     res = ws.time_integrate(loads, tau)[:, free]
 
     # trace coupling: ((1+k u(t_{n-1})) dtu(t_{n-1}^+), w(t_{n-1}^+))

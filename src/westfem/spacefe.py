@@ -122,9 +122,10 @@ class FESpace:
         return self._solver("mass").solve(rhs_free)
 
 
-# elements per block of an error kernel: its temporaries stay in cache, and
-# only the final sum runs over all elements, as it did unblocked
-ERROR_BLOCK = 512
+# elements per block of the load and error kernels: a block's fields and
+# temporaries stay in cache, and only the scatter or the final sum runs over
+# all elements, in the order it did unblocked
+BLOCK = 512
 
 
 class ElementData:
@@ -144,37 +145,41 @@ class ElementData:
     one sampled time per call) and assemble through the kernels below; the
     geometry and weights stay inside this module.
 
-    Layout rule: the per-call kernels (values, gradients, loads) hand einsum
-    operands laid out so that its loops are vectorised over the element axis
-    instead of running over the short local axes.  For this the data keeps
-    two contiguous copies next to the natural layouts: `gdofs_lt` =
-    cell_dofs.T (nl, nt) and `grads_lqd` = grads_ref as (nl, nq, 2).
-    Reference gradients come out component-major (2, nt, nq) and J^{-1} is
-    applied by elementwise products.  Loads fold the weights into f in
-    Fortran order, which is the C-contiguous (nq, nt, m) layout, and contract
-    over q on the element-last (nq, nt*m) view of that product, so einsum's
-    inner loop runs over elements.  The outputs of `function_values_multi`,
-    and products of them, are already laid out (nq, nt, m) in memory, so the
-    lagged loads are read in order.  A load kernel never writes into f_qp,
-    which may be a read-only broadcast from `sample`.  The gradient load and
-    the stiffness matrix are loops over the quadrature points, each step
-    vectorised over the elements.
+    Layout rule: the kernels hand einsum operands laid out so that its loops
+    are vectorised over the element axis instead of running over the short
+    local axes.  For this the data keeps two contiguous copies next to the
+    natural layouts: `gdofs_lt` = cell_dofs.T (nl, nt) and `grads_lqd` =
+    grads_ref as (nl, nq, 2).  Reference gradients come out component-major
+    (2, nt, nq) and J^{-1} is applied by elementwise products.  The load and
+    error kernels walk blocks of BLOCK elements, so no caller holds a whole
+    (m, nt, nq) field.  The one pointwise load kernel, `assemble_loads`,
+    evaluates the FE fields of its coefficient stacks on a block, lets the
+    caller form the integrand on them in place or sample data on the block's
+    points, folds the weights into the integrand in Fortran order (the
+    C-contiguous (nq, nb, m) layout) and contracts over q on the element-last
+    (nq, nb*m) view of that product, so einsum's inner loop runs over
+    elements.  Each block's element rows go into one (m, nt, nl) array,
+    scattered once.  The kernel never writes into the integrand, which may be
+    a read-only broadcast from `sample`.  The gradient load and the stiffness
+    matrix are loops over the quadrature points, each step vectorised over
+    the elements.
 
     Exactness rule: einsum adds the rounded products of each output entry one
     at a time, in the order of its loops, so a kernel that forms the same
     products and adds them in that order is equal bit for bit.  Every kernel
     here keeps the order of the element-major einsum it replaces (pinned in
-    tests/test_spacefe.py).  Two einsum forms are traps: an operand made
-    contiguous along a summed axis lets einsum sum in a different order,
-    which changes bits, and `out=` into a buffer whose layout is not the one
-    einsum would pick is slower (about 2x for `function_values_multi` at
-    n = 32).  `function_values` is a BLAS matmul instead, which orders its
-    sums differently: it agrees with `function_values_multi` only to
-    round-off, so a call site must not switch between the two.  The error
-    kernels run the same einsums on blocks of ERROR_BLOCK elements, whose
-    sums over l do not depend on the block, and write each block's weighted
-    squared error into one C-ordered (nt, nq) array, so their final np.sum
-    adds in the order of the unblocked forms.
+    tests/test_spacefe.py and, for the slab loads, tests/test_solver.py).
+    Blocking keeps that order: the sum over l of each value and the sum over
+    q of each load do not depend on the block, an integrand is elementwise,
+    the scatter adds the element rows in element order, and an error kernel
+    writes each block's weighted squared error into one C-ordered (nt, nq)
+    array, whose final np.sum adds as the unblocked form did.  Two einsum
+    forms are traps: an operand made contiguous along a summed axis lets
+    einsum sum in a different order, which changes bits, and `out=` into a
+    buffer whose layout is not the one einsum would pick is slower.
+    `function_values` is a BLAS matmul instead, which orders its sums
+    differently: it agrees with the block values only to round-off, so a
+    call site must not switch between the two.
     """
 
     def __init__(self, space: FESpace, degree: int):
@@ -205,17 +210,19 @@ class ElementData:
         self.gdofs_lt = np.ascontiguousarray(space.cell_dofs.T)
         self.n_dof = space.n_dof
 
-    def sample(self, g, *t):
+    def sample(self, g, *t, cells: slice | None = None):
         """g(x, y, *t) at the quadrature points, broadcast to (nt, nq); a
         callable returning a tuple (a vector field) gets each entry broadcast.
 
         x and y are the two read-only views `xy`, the same objects at every
-        call.  A 1-D array of m times gives (m, nt, nq): g sees them as
-        t[:, None, None], and a broadcasting g forms each entry by the same
-        operations as a scalar-time call."""
+        call, or with `cells` their rows on that block of elements.  A 1-D
+        array of m times gives (m, nt, nq): g sees them as t[:, None, None],
+        and a broadcasting g forms each entry by the same operations as a
+        scalar-time call."""
+        xy = self.xy if cells is None else tuple(a[cells] for a in self.xy)
         t = [np.asarray(s)[:, None, None] if np.ndim(s) == 1 else s for s in t]
-        shape = np.broadcast_shapes(self.wdetj.shape, *map(np.shape, t))
-        v = g(*self.xy, *t)
+        shape = np.broadcast_shapes(xy[0].shape, *map(np.shape, t))
+        v = g(*xy, *t)
         if isinstance(v, tuple):
             return tuple(np.broadcast_to(c, shape) for c in v)
         return np.broadcast_to(v, shape)
@@ -242,16 +249,19 @@ class ElementData:
 
     def _blocks(self):
         nt = len(self.detj)
-        return [slice(s, s + ERROR_BLOCK) for s in range(0, nt, ERROR_BLOCK)]
+        return [slice(s, s + BLOCK) for s in range(0, nt, BLOCK)]
+
+    def _values(self, stack: np.ndarray, cells: slice) -> np.ndarray:
+        """FE fields (m, nb, nq) of coefficient rows (m, n_dof) on a block."""
+        return np.einsum("mlt,ql->mtq", stack[:, self.gdofs_lt[:, cells]], self.vals)
 
     def value_error(self, coeffs: np.ndarray, exact) -> float:
         """Integral of (u_h - exact)^2 for the FE function `coeffs` and
         `exact` given at the quadrature points (nt, nq).  The values are
-        function_values_multi's for one row, bit for bit."""
-        local = coeffs[self.gdofs_lt]
+        those of `assemble_loads` for one row, bit for bit."""
         e = np.empty(self.wdetj.shape)
         for b in self._blocks():
-            d = np.subtract(np.einsum("lt,ql->tq", local[:, b], self.vals), exact[b], out=e[b])
+            d = np.subtract(self._values(coeffs[None], b)[0], exact[b], out=e[b])
             d *= d
             d *= self.wdetj[b]
         return float(np.sum(e))
@@ -271,21 +281,26 @@ class ElementData:
             np.multiply(ex, self.wdetj[b], out=e[b])
         return float(np.sum(e))
 
-    def function_values_multi(self, coeffs: np.ndarray) -> np.ndarray:
-        """Batched function_values for coefficient rows; (m, n_dof) -> (m, nt, nq)."""
-        local = coeffs[:, self.gdofs_lt]                 # (m, nl, nt)
-        return np.einsum("mlt,ql->mtq", local, self.vals)
-
     def assemble_pointwise_load(self, f_qp: np.ndarray) -> np.ndarray:
-        """(f, phi_i) for f given by its values at quadrature points."""
-        return self.assemble_pointwise_load_multi(f_qp[None])[0]
+        """(f, phi_i) for f given by its values at quadrature points (nt, nq)."""
+        return self.assemble_loads(lambda cells: f_qp[None, cells])[0]
 
-    def assemble_pointwise_load_multi(self, f_qp: np.ndarray) -> np.ndarray:
-        """Batched load assembly; f_qp (m, nt, nq) -> (m, n_dof)."""
-        m, nt, nq = f_qp.shape
-        fw = np.multiply(f_qp, self.w, order="F").T.reshape(nq, nt * m)
-        loc = np.einsum("qk,qi->ik", fw, self.vals).reshape(-1, nt, m).T
-        loc *= self.detj[None, :, None]
+    def assemble_loads(self, integrand, *stacks: np.ndarray) -> np.ndarray:
+        """Loads (m, n_dof) of an integrand formed one block of elements at a
+        time.  For each block `cells` (a slice), integrand(cells, *fields)
+        gets the FE fields (m, nb, nq) of the coefficient stacks (m, n_dof),
+        which it may overwrite, and returns the block's integrand (m, nb, nq).
+        Equal bit for bit to the element-major einsum of the whole field."""
+        nq, nl = self.vals.shape
+        loc = None
+        for cells in self._blocks():
+            f = integrand(cells, *(self._values(s, cells) for s in stacks))
+            m, nb = f.shape[:2]
+            if loc is None:
+                loc = np.empty((m, len(self.detj), nl))
+            fw = np.multiply(f, self.w, order="F").T.reshape(nq, nb * m)
+            rows = np.einsum("qk,qi->ik", fw, self.vals).reshape(nl, nb, m).T
+            np.multiply(rows, self.detj[None, cells, None], out=loc[:, cells])
         return self._scatter_loads(loc)
 
     def assemble_gradient_load(self, g_qp: np.ndarray) -> np.ndarray:

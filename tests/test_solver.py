@@ -2,6 +2,7 @@
 slab hand-off.  Exactness, zero data, k = 0 and determinism: verify suites;
 exactness is reported here from the `polynomial-exactness` checks."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,9 +12,11 @@ from westfem import solver
 from westfem.errors import DegenerateCoefficient, SolverFailure
 from westfem.cases import get_case, run_problem, ProblemConfig
 from westfem.mesh import unit_square_mesh
-from westfem.slab import SlabWorkspace, first_state, lagged_rhs, next_state, slab_fields
+from westfem.slab import (SlabWorkspace, first_state, lagged_rhs, next_state,
+                          nonlinear_residual)
 from westfem.solution import DiscreteSolution
 from westfem.solver import slab_residuals, solve_westervelt
+from westfem import spacefe
 from westfem.spacefe import FESpace
 from westfem.timefe import TimePartition
 
@@ -98,8 +101,115 @@ def test_lagged_coeff_min_is_the_grid_minimum(k):
     for n in range(sol.partition.n_slabs):
         if n > 0:
             state = next_state(ws, state, sol.modes[n - 1], sol.partition)
-        uq = slab_fields(ws, state, sol.modal(n))[0]
+        uq = _values(ws.ed_nl, ws.basis.values.T @ sol.modal(n))
         assert lagged_rhs(ws, state, sol.modal(n))[1] == float((1.0 + k * uq).min())
+
+
+def _values(ed, rows):
+    """FE fields (m, nt, nq) of coefficient rows: the element-major einsum."""
+    return np.einsum("mtl,ql->mtq", rows[:, ed.gdofs], ed.vals)
+
+
+def _loads(ed, f_qp):
+    """Loads (m, n_dof) of f_qp (m, nt, nq): the element-major einsum with an
+    np.add.at scatter in element order."""
+    loc = np.einsum("mtq,q,qi->mti", f_qp, ed.w, ed.vals) * ed.detj[None, :, None]
+    out = np.zeros((len(loc), ed.n_dof))
+    for row, lrow in zip(out, loc):
+        np.add.at(row, ed.gdofs.ravel(), lrow.ravel())
+    return out
+
+
+def _unblocked_slab_terms(ws, state, modal):
+    """lagged_rhs and nonlinear_residual written out on whole (2q, nt, nq)
+    fields, in the order of the element-major einsums."""
+    b, ed, free, tau = ws.basis, ws.ed_nl, ws.space.free_dofs, state.tau
+    c, k, delta = ws.case.c, ws.case.k, ws.case.delta
+    u = _values(ed, b.values.T @ modal)
+    dt = _values(ed, (b.ds.T @ modal) / tau)
+    dtt = _values(ed, (b.dss.T @ modal) / tau ** 2)
+    dtu0 = ed.function_values((b.d0 @ modal) / tau)
+
+    lag = -k * ws.time_integrate(_loads(ed, dt * dt + dtt * u), tau)[:, free]
+    lag -= k * np.outer(b.test_start, _loads(ed, (state.u_start_q * dtu0)[None])[0][free])
+    coeff_min = 1.0 + k * float(u.min() if k >= 0 else u.max())
+
+    res = ws.time_integrate(_loads(ed, (1.0 + k * u) * dtt + k * dt * dt), tau)[:, free]
+    tlhs = _loads(ed, ((1.0 + k * state.u_start_q) * dtu0)[None])[0][free]
+    res += np.outer(b.test_start, tlhs)
+    ku = (ws.space.stiffness @ modal.T)[free].T
+    res += c * c * tau * (b.a0 @ ku) + delta * (b.a1 @ ku)
+    res -= ws.time_integrate(state.f_loads, tau)[:, free]
+    res -= np.outer(b.test_start, state.trace_load[free])
+    return lag, coeff_min, res
+
+
+def _slab_on_blocks(k, p=2, q=3):
+    """Workspace, slab-2 state and an iterate on n = 17 (578 triangles: a
+    block of 512 and one of 66)."""
+    case = get_case("smooth", k=k)
+    space = FESpace(unit_square_mesh(17), p)
+    assert space.mesh.n_triangles == 578 > spacefe.BLOCK
+    ws = SlabWorkspace(space, q, case)
+    part = TimePartition.uniform(1.0, 0.25)
+    rng = np.random.default_rng(17)
+    state = next_state(ws, first_state(ws, part), 1e-2 * rng.standard_normal((q, space.n_dof)),
+                       part)
+    return ws, state, 1e-2 * rng.standard_normal((q + 1, space.n_dof))
+
+
+@pytest.mark.parametrize("k", [0.5, -2.0])
+def test_blocked_slab_loads_equal_the_unblocked_forms(k):
+    ws, state, modal = _slab_on_blocks(k)
+    lag, coeff_min, res = _unblocked_slab_terms(ws, state, modal)
+    got_lag, got_min = lagged_rhs(ws, state, modal)
+    assert np.array_equal(got_lag, lag) and got_min == coeff_min
+    assert np.array_equal(nonlinear_residual(ws, state, modal), res)
+    ed, times = ws.ed_lin, state.t_start + state.tau * ws.basis.nodes
+    f_loads = _loads(ed, ed.sample(ws.case.f, times))
+    assert np.array_equal(ws.f_time_loads(state.t_start, state.tau), f_loads)
+    assert np.array_equal(state.f_loads, f_loads)
+
+
+@pytest.mark.parametrize("k", [0.5, -2.0])
+def test_nan_in_the_last_block_reaches_the_guard(k):
+    # the real lagged_rhs: a NaN coefficient on a dof that only the last
+    # block's triangles touch makes coeff_min NaN on both the min (k >= 0)
+    # and the max (k < 0) path, so the guard still sees it
+    ws, state, modal = _slab_on_blocks(k, p=1, q=2)
+    cells = ws.space.cell_dofs
+    last_only = np.setdiff1d(cells[spacefe.BLOCK:], cells[:spacefe.BLOCK])
+    assert last_only.size
+    modal[:, last_only[0]] = np.nan
+    with np.errstate(invalid="ignore"):
+        _, coeff_min = lagged_rhs(ws, state, modal)
+    assert np.isnan(coeff_min)
+    assert np.isfinite(lagged_rhs(ws, state, np.nan_to_num(modal))[1])
+
+
+def test_slab_loads_never_hold_two_whole_fields():
+    # one (2q, nt, nq) field of ed_nl is 5.3 MB at n = 48, p = 2, q = 3, and
+    # one of ed_lin 3.5 MB; a call's traced peak stays below two of them
+    q = 3
+    case = get_case("smooth")
+    space = FESpace(unit_square_mesh(48), 2)
+    ws = SlabWorkspace(space, q, case)
+    state = first_state(ws, TimePartition.uniform(1.0, 0.2))
+    modal = 1e-2 * np.random.default_rng(48).standard_normal((q + 1, space.n_dof))
+
+    def peak(call):
+        call()                                       # caches built outside the trace
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for ed, call in ((ws.ed_nl, lambda: lagged_rhs(ws, state, modal)),
+                     (ws.ed_lin, lambda: ws.f_time_loads(0.2, 0.2))):
+        field = 2 * q * ed.wdetj.size * 8
+        assert peak(call) < 2 * field
 
 
 def test_stacked_qn_norms_equal_separate_calls():
@@ -219,7 +329,7 @@ def test_f_time_loads_stack_per_node_loads(label):
     ws = SlabWorkspace(space, 3, case)
     t0, tau = 0.3 * case.T, 0.25 * case.T
     ed = space.ed_lin
-    # reference: one sample per temporal node, stacked
-    ref = ed.assemble_pointwise_load_multi(
-        np.stack([ed.sample(case.f, t0 + tau * g) for g in ws.basis.nodes]))
+    # reference: one sample and one load per temporal node, stacked
+    ref = np.stack([ed.assemble_pointwise_load(ed.sample(case.f, t0 + tau * g))
+                    for g in ws.basis.nodes])
     assert np.array_equal(ws.f_time_loads(t0, tau), ref)

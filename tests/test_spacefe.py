@@ -200,14 +200,21 @@ def test_kernels_match_element_major_einsum(p, deg):
 
     for coeffs in (rows, strided):
         ref = np.einsum("mtl,ql->mtq", coeffs[:, space.cell_dofs], ed.vals)
-        assert np.array_equal(ed.function_values_multi(coeffs), ref)
+        seen = []
+
+        def keep(cells, u):
+            seen.append(u.copy())
+            return u
+
+        ed.assemble_loads(keep, coeffs)
+        assert np.array_equal(np.concatenate(seen, axis=1), ref)
         for row in coeffs:
             gref = np.einsum("tl,qld->tqd", row[space.cell_dofs], ed.grads_ref)
             ref = np.einsum("tqd,tde->tqe", gref, ed.jinv)
             got = ed._gradient_components(row[space.cell_dofs], ed.jinv)
             assert np.array_equal(np.stack(got, axis=2), ref)
     ref = scatter(np.einsum("mtq,q,qi->mti", f_qp, ed.w, ed.vals) * ed.detj[None, :, None])
-    assert np.array_equal(ed.assemble_pointwise_load_multi(f_qp), ref)
+    assert np.array_equal(ed.assemble_loads(lambda cells: f_qp[:, cells]), ref)
     single = np.einsum("tq,q,qi->ti", f_qp[1], ed.w, ed.vals) * ed.detj[:, None]
     assert np.array_equal(ed.assemble_pointwise_load(f_qp[1]), scatter(single[None])[0])
     assert np.array_equal(ed.assemble_pointwise_load(f_qp[1]), ref[1])
@@ -231,10 +238,12 @@ def test_kernels_match_element_major_einsum(p, deg):
 
 
 @pytest.mark.parametrize("n,p,deg", [(3, 1, 5), (4, 2, 8), (2, 5, 17)])
-def test_load_kernel_on_every_caller_layout(n, p, deg):
+def test_load_kernel_on_every_caller_layout(n, p, deg, monkeypatch):
     # the load kernel contracts on an element-last view whose cost depends on
-    # the memory layout of f_qp; the result must not: each layout a caller
-    # passes equals the element-major einsum with an inline np.add.at scatter
+    # the memory layout of the integrand; the result must not: each layout a
+    # caller hands back equals the element-major einsum with an inline
+    # np.add.at scatter, also over several blocks of 3 elements
+    monkeypatch.setattr(spacefe, "BLOCK", 3)
     space = make_space(n, p)
     ed = space.element_data(deg)
     rng = np.random.default_rng(deg)
@@ -246,19 +255,30 @@ def test_load_kernel_on_every_caller_layout(n, p, deg):
             np.add.at(row, space.cell_dofs.ravel(), lrow.ravel())
         return out
 
-    a = ed.function_values_multi(rng.standard_normal((6, space.n_dof)))
-    b = ed.function_values_multi(rng.standard_normal((6, space.n_dof)))
-    lagged = a * a + b * a                           # laid out (nq, nt, m)
-    assert lagged.strides[0] < lagged.strides[1] < lagged.strides[2]
+    def values(rows):
+        return np.einsum("mtl,ql->mtq", rows[:, space.cell_dofs], ed.vals)
+
+    def lagged(cells, a, b):                         # block fields laid out (nq, nb, m)
+        assert a.strides[0] < a.strides[1] < a.strides[2]
+        return a * a + b * a
+
+    rows_a, rows_b = rng.standard_normal((2, 6, space.n_dof))
+    whole = values(rows_a) * values(rows_a) + values(rows_b) * values(rows_a)
+    assert np.array_equal(ed.assemble_loads(lagged, rows_a, rows_b), ref(whole))
+    assert np.array_equal(ed.assemble_loads(lambda cells, a, b: lagged(cells, a, b)[::2],
+                                            rows_a, rows_b), ref(whole[::2]))
     contiguous = rng.standard_normal((3,) + ed.wdetj.shape)
     standing = get_case("standing-wave")             # f ignores t: a broadcast view
-    broadcast = ed.sample(standing.f, np.array([0.0, 0.1, 0.2]))
+    times = np.array([0.0, 0.1, 0.2])
+    broadcast = ed.sample(standing.f, times)
     assert not broadcast.flags.writeable
+    assert np.array_equal(ed.assemble_loads(
+        lambda cells: ed.sample(standing.f, times, cells=cells)), ref(broadcast))
     nt, nq = ed.wdetj.shape
     strided = rng.standard_normal((4, nt, 2 * nq))[:, :, ::2]
-    for f_qp in (lagged, contiguous, broadcast, strided, lagged[::2]):
+    for f_qp in (contiguous, broadcast, strided):
         before = f_qp.copy()
-        assert np.array_equal(ed.assemble_pointwise_load_multi(f_qp), ref(f_qp))
+        assert np.array_equal(ed.assemble_loads(lambda cells: f_qp[:, cells]), ref(f_qp))
         assert np.array_equal(ed.assemble_pointwise_load(f_qp[1]), ref(f_qp[1:2])[0])
         assert np.array_equal(f_qp, before)
 
@@ -329,16 +349,17 @@ def test_lazy_cache_builds_once_under_thread_contention(monkeypatch):
 
 @pytest.mark.parametrize("n,p,deg", [(3, 1, 12), (3, 2, 12), (2, 5, 17), (17, 1, 12)])
 def test_error_kernels_match_their_written_out_forms(n, p, deg):
-    # per-row values equal function_values_multi's row; the squared errors
+    # per-row values equal the element-major einsum's row; the squared errors
     # are summed over the same C-ordered (nt, nq) products as before, also
     # when the kernels work in element blocks (n = 17: 578 triangles)
     space = make_space(n, p)
     ed = space.element_data(deg)
-    assert (n == 17) == (space.mesh.n_triangles > spacefe.ERROR_BLOCK)
+    assert (n == 17) == (space.mesh.n_triangles > spacefe.BLOCK)
     rng = np.random.default_rng(deg + p)
     rows = rng.standard_normal((3, space.n_dof))
     exact = rng.standard_normal((3,) + ed.wdetj.shape)
-    for row, fe, ex in zip(rows, ed.function_values_multi(rows), exact):
+    values = np.einsum("mtl,ql->mtq", rows[:, space.cell_dofs], ed.vals)
+    for row, fe, ex in zip(rows, values, exact):
         assert ed.value_error(row, ex) == float(np.sum((fe - ex) * (fe - ex) * ed.wdetj))
         g = np.einsum("tqd,tde->tqe",
                       np.einsum("tl,qld->tqd", row[space.cell_dofs], ed.grads_ref), ed.jinv)
@@ -347,5 +368,5 @@ def test_error_kernels_match_their_written_out_forms(n, p, deg):
     # a broadcast exact value (a callable that ignores x, y) is read, never written
     const = ed.sample(lambda x, y: 0.5)
     assert not const.flags.writeable
-    fe = ed.function_values_multi(rows[:1])[0]
+    fe = values[0]
     assert ed.value_error(rows[0], const) == float(np.sum((fe - 0.5) ** 2 * ed.wdetj))

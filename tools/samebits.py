@@ -34,7 +34,8 @@ SOLVES = {
     "gaussian-pulse": ("gaussian-pulse", {"T": 4e-5}, 16, 2, 3, 1e-5),
     "graded": ("smooth", {}, 4, 2, 3, [0.0, 0.25, 0.5, 0.6, 1.0]),
     "k-negative": ("smooth", {"k": -2.0}, 4, 3, 2, 0.25),
-    "blocks": ("smooth", {}, 17, 1, 2, 0.25),   # 578 triangles: two error-kernel blocks
+    "blocks": ("smooth", {}, 17, 1, 2, 0.25),   # 578 triangles: two element blocks
+    "blocks-k-negative": ("smooth", {"k": -2.0}, 17, 2, 3, 0.25),
 }
 
 STUDIES = {
