@@ -9,8 +9,12 @@ The constant-coefficient left-hand side
     (dtt u, w) + (dt u(t+), w(t+)) + c^2 (grad u, grad w) + delta (grad dt u, grad w)
 
 is a Kronecker combination of temporal coupling blocks with the spatial
-mass and stiffness matrices.  The nonlinearity enters only on the
-right-hand side through the lagged terms of the fixed-point iteration.
+mass and stiffness matrices.  Those share one free-dof pattern, so block
+(a, b) is C_M[a, b] M + C_K[a, b] K on it, written straight into CSC with
+no zero block and no exact zero stored (scipy's sparse kron and add keep
+the zeros only of a pattern at least half dense, and so does this form).
+The nonlinearity enters only on the right-hand side through the lagged
+terms of the fixed-point iteration.
 """
 
 from __future__ import annotations
@@ -35,11 +39,64 @@ def coupling_blocks(q: int, tau: float, c: float, delta: float):
     return cm, ck
 
 
+def _dense_csc(mat: sp.csc_matrix) -> sp.csc_matrix:
+    """`mat` storing every entry, zeros included, column by column."""
+    n = mat.shape[0]
+    return sp.csc_matrix((mat.toarray().ravel(order="F"), np.arange(n * n) % n,
+                          np.arange(0, n * n + 1, n)), shape=mat.shape)
+
+
 def assemble_slab_lhs(space: FESpace, cm: np.ndarray, ck: np.ndarray) -> sp.csc_matrix:
-    """kron(C_M, M_ff) + kron(C_K, K_ff), temporal-mode-major ordering."""
-    lhs = (sp.kron(sp.csr_matrix(cm), space.mass_ff)
-           + sp.kron(sp.csr_matrix(ck), space.stiffness_ff))
-    return lhs.tocsc()
+    """kron(C_M, M_ff) + kron(C_K, K_ff), temporal-mode-major ordering, written
+    straight into CSC on the free-dof pattern that M_ff and K_ff share.
+
+    Block (a, b) is cm[a, b] * M_ff.data + ck[a, b] * K_ff.data on that
+    pattern: the products and the sum of scipy's sparse kron and add.  Each
+    column lists its rows a-major, then in the pattern's order, which is the
+    canonical CSC order.  As in scipy's form, a block with cm[a, b] =
+    ck[a, b] = 0 is not stored, and exact zeros are dropped if any occur.
+    The exception is a pattern at least half dense, which only the smallest
+    meshes have (n <= 4 at p = 1, n <= 2 at p = 2, n = 1 at higher p):
+    scipy's kron then stores dense blocks, zeros and all, and since the slab
+    LU's round-off follows the stored pattern, so does this form.  Temporaries
+    are a few arrays of the pattern's size, 1/q^2 of the result each."""
+    mass, stiff = space.mass_ff, space.stiffness_ff
+    q, nf = len(cm), space.n_free
+    half_dense = 0 < nf * nf <= 2 * mass.nnz
+    if half_dense:
+        mass, stiff = _dense_csc(mass), _dense_csc(stiff)
+    ptr, rows, nnz = mass.indptr, mass.indices, mass.nnz
+    counts = np.diff(ptr)
+    ptr_e = np.repeat(ptr[:-1], counts)              # ptr[j] of each entry's column j
+    local = np.arange(nnz, dtype=ptr.dtype) - ptr_e  # its place in column j
+    step = np.repeat(counts, counts)
+    stored = (cm != 0) | (ck != 0)
+    size = int(stored.sum()) * nnz
+    idx = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    data, indices = np.empty(size), np.empty(size, dtype=idx)
+    indptr = np.empty(q * nf + 1, dtype=idx)
+    vals, term, pos = np.empty(nnz), np.empty(nnz), np.empty(nnz, dtype=np.int64)
+    start = 0
+    for b in range(q):
+        # column j of block column b: the stored blocks' column j, one after another
+        blocks = np.flatnonzero(stored[:, b])
+        indptr[b * nf:(b + 1) * nf] = start + len(blocks) * ptr[:-1].astype(np.int64)
+        np.multiply(ptr_e, len(blocks), out=pos, dtype=np.int64)
+        pos += local
+        pos += start
+        for a in blocks:
+            np.multiply(mass.data, cm[a, b], out=vals)
+            np.multiply(stiff.data, ck[a, b], out=term)
+            vals += term
+            data[pos] = vals
+            indices[pos] = rows + idx(a * nf)
+            pos += step
+        start += len(blocks) * nnz
+    indptr[-1] = start
+    lhs = sp.csc_matrix((data, indices, indptr), shape=(q * nf, q * nf))
+    if not half_dense and not data.all():
+        lhs.eliminate_zeros()
+    return lhs
 
 
 @dataclass

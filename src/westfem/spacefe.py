@@ -98,10 +98,27 @@ class FESpace:
     def stiffness(self) -> sp.csr_matrix:
         return self._cached("stiffness", lambda: assemble_stiffness(self))
 
+    def _ff_pattern(self, mat: sp.csr_matrix):
+        """The free-dof pattern: (indptr, indices) of the free-free block in
+        CSC order, and `take`, the position in mat.data of each of its
+        entries.  Mass and stiffness come from _scatter on the same
+        cell_dofs, so they have one global pattern, and this map, built once
+        from whichever of them comes first, serves both."""
+        def build():
+            ids = sp.csr_matrix((np.arange(mat.nnz, dtype=mat.indices.dtype), mat.indices,
+                                 mat.indptr), shape=mat.shape)
+            ff = ids[self.free_dofs][:, self.free_dofs].tocsc()
+            return ff.indptr, ff.indices, ff.data
+        return self._cached("ff_pattern", build)
+
     def _ff(self, name):
+        """The free-free block of `name`, gathered onto the free-dof pattern,
+        so mass_ff and stiffness_ff share their indptr and indices arrays."""
         def build():
             mat = getattr(self, name)
-            return mat[self.free_dofs][:, self.free_dofs].tocsc()
+            indptr, indices, take = self._ff_pattern(mat)
+            return sp.csc_matrix((mat.data[take], indices, indptr),
+                                 shape=(self.n_free, self.n_free))
         return self._cached((name, "ff"), build)
 
     @property

@@ -7,13 +7,14 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from westfem import solver
 from westfem.errors import DegenerateCoefficient, SolverFailure
 from westfem.cases import get_case, run_problem, ProblemConfig
 from westfem.mesh import unit_square_mesh
-from westfem.slab import (SlabWorkspace, first_state, lagged_rhs, next_state,
-                          nonlinear_residual)
+from westfem.slab import (SlabWorkspace, assemble_slab_lhs, coupling_blocks, first_state,
+                          lagged_rhs, next_state, nonlinear_residual)
 from westfem.solution import DiscreteSolution
 from westfem.solver import slab_residuals, solve_westervelt
 from westfem import spacefe
@@ -210,6 +211,63 @@ def test_slab_loads_never_hold_two_whole_fields():
                      (ws.ed_lin, lambda: ws.f_time_loads(0.2, 0.2))):
         field = 2 * q * ed.wdetj.size * 8
         assert peak(call) < 2 * field
+
+
+def _kron_form(space, cm, ck):
+    return (sp.kron(sp.csr_matrix(cm), space.mass_ff)
+            + sp.kron(sp.csr_matrix(ck), space.stiffness_ff)).tocsc()
+
+
+def _blocks_with_zeros(space, q):
+    """Coupling blocks with block (0, q-1) exactly zero, block (1, 0) without
+    its mass part, and block (1, 1) cancelling exactly in its first entry."""
+    cm, ck = coupling_blocks(q, 0.2, 1.0, 1e-2)
+    cm[0, q - 1] = ck[0, q - 1] = 0.0
+    cm[1, 0] = 0.0
+    cm[1, 1], ck[1, 1] = space.stiffness_ff.data[0], -space.mass_ff.data[0]
+    return cm, ck
+
+
+# (3, 1) and (2, 2) have an M_ff at least half dense, which scipy's kron
+# stores as dense blocks, zeros and all
+@pytest.mark.parametrize("n,p", [(3, 1), (5, 1), (2, 2), (5, 2), (5, 5)])
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("blocks", [0.0, 1e-2, "zeros"])
+def test_slab_lhs_equals_kron_form(n, p, q, blocks):
+    space = FESpace(unit_square_mesh(n), p)
+    cm, ck = (_blocks_with_zeros(space, q) if blocks == "zeros"
+              else coupling_blocks(q, 0.2, 1.0, blocks))
+    got, ref = assemble_slab_lhs(space, cm, ck), _kron_form(space, cm, ck)
+    assert got.shape == ref.shape
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(got, attr), getattr(ref, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
+    if blocks == "zeros":
+        nf, half_dense = space.n_free, 2 * space.mass_ff.nnz >= space.n_free ** 2
+        assert got[:nf, (q - 1) * nf:].nnz == 0
+        assert (got[nf:2 * nf, nf:2 * nf].nnz < space.mass_ff.nnz) != half_dense
+
+
+def test_slab_lhs_without_free_dofs():
+    space = FESpace(unit_square_mesh(1), 1)
+    cm, ck = coupling_blocks(2, 0.2, 1.0, 0.0)
+    got, ref = assemble_slab_lhs(space, cm, ck), _kron_form(space, cm, ck)
+    assert got.shape == ref.shape == (0, 0)
+    assert np.array_equal(got.indptr, ref.indptr)
+
+
+def test_slab_lhs_peak_memory():
+    # the kron form peaked at 6.6x the matrix (n = 32, p = 2, q = 3)
+    space = FESpace(unit_square_mesh(32), 2)
+    cm, ck = coupling_blocks(3, 0.2, 1.0, 0.0)
+    space.mass_ff, space.stiffness_ff                # caches built outside the trace
+    tracemalloc.start()
+    try:
+        lhs = assemble_slab_lhs(space, cm, ck)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (lhs.data.nbytes + lhs.indices.nbytes + lhs.indptr.nbytes)
 
 
 def test_stacked_qn_norms_equal_separate_calls():

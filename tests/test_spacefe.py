@@ -175,6 +175,24 @@ def test_stiffness_matches_einsum(n, p):
         assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_free_free_blocks_share_one_pattern(p):
+    # each block is the sliced global matrix, byte for byte, and the two
+    # hold one indptr and one indices array between them
+    space = make_space(4, p)
+    free = space.free_dofs
+    blocks = {}
+    for name in ("stiffness", "mass"):      # the pattern is built from the first
+        got = getattr(space, f"{name}_ff")
+        ref = getattr(space, name)[free][:, free].tocsc()
+        for attr in ("data", "indices", "indptr"):
+            a, b = getattr(got, attr), getattr(ref, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (name, attr)
+        blocks[name] = got
+    for attr in ("indices", "indptr"):
+        assert np.shares_memory(getattr(blocks["mass"], attr), getattr(blocks["stiffness"], attr))
+
+
 def _kernel_cases():
     for p in range(1, 7):
         for deg in sorted({2 * p + 2, 3 * p + 2, max(2 * p + 2, 12)}):

@@ -13,7 +13,8 @@ per slab) and the data functional; then the rows of a small study of each
 kind, every cell except the timings; then, per space of GEOMETRY, the dofmap
 (free dofs, cell dofs, dof coordinates), the quadrature points of the three
 rules, `smooth`'s f, dtu and grad_u sampled on each rule at one time and at
-an array of times, and point values of an interpolant.
+an array of times, point values of an interpolant, and the CSC arrays of
+the slab operator (`smooth`'s c and delta, tau = 0.25) at each q of LHS_Q.
 `compare` checks every array of A against B with np.array_equal (NaN equal
 to NaN), prints each key that is missing or differs, and exits 1 if any
 does.
@@ -36,6 +37,8 @@ SOLVES = {
     "k-negative": ("smooth", {"k": -2.0}, 4, 3, 2, 0.25),
     "blocks": ("smooth", {}, 17, 1, 2, 0.25),   # 578 triangles: two element blocks
     "blocks-k-negative": ("smooth", {"k": -2.0}, 17, 2, 3, 0.25),
+    "q5": ("smooth", {}, 4, 2, 5, 0.25),
+    "half-dense": ("smooth", {}, 4, 1, 3, 0.2),  # M_ff half dense: the LHS's dense blocks
 }
 
 STUDIES = {
@@ -51,6 +54,9 @@ TIMINGS = ("runtime_s", "runtime_err_s")
 
 # (n, p) of the spaces whose geometry is dumped
 GEOMETRY = [(3, 1), (4, 2), (3, 5)]
+
+# temporal degrees of the slab operators dumped per space of GEOMETRY
+LHS_Q = (2, 3, 5)
 
 
 def _solve(wf, label, overrides, n, p, q, steps):
@@ -90,6 +96,11 @@ def _geometry(wf, n, p):
     xg, yg = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 41))
     coeffs = wf.interpolate(space, lambda x, y: np.sin(3 * x + 1) * np.cos(2 * y) + x * y)
     out["evaluate"] = wf.evaluate(space, coeffs, xg.ravel(), yg.ravel())
+    for q in LHS_Q:
+        lhs = wf.slab.assemble_slab_lhs(
+            space, *wf.slab.coupling_blocks(q, 0.25, smooth.c, smooth.delta))
+        for part in ("data", "indices", "indptr"):
+            out[f"lhs-q{q}/{part}"] = getattr(lhs, part)
     return out
 
 
