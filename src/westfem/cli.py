@@ -18,7 +18,8 @@ import numpy as np
 from .cases import ProblemConfig, run_problem
 from .errors import SolverFailure
 from .spacefe import evaluate
-from .studies import StudySpec, result_row, run_study, write_csv, write_study_outputs
+from .studies import (StudySpec, check_name, result_row, run_study, write_csv,
+                      write_study_outputs)
 from .verify import run_verify
 
 EXIT_OK, EXIT_USAGE, EXIT_SOLVER, EXIT_VERIFY = 0, 1, 2, 3
@@ -54,6 +55,7 @@ def _cmd_run(args) -> int:
     snap_grid = cfg_dict.pop("snapshot_grid", None)
     snap_times = cfg_dict.pop("snapshot_times", None)
     try:
+        name = None if name is None else check_name(name)
         cfg = ProblemConfig.from_dict(cfg_dict)
         m = None if snap_grid is None else int(snap_grid)
         times = None if snap_times is None else np.asarray(snap_times, dtype=float)

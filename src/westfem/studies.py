@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -45,6 +46,16 @@ KINDS = tuple(SWEEPS)
 
 def _plain(v):
     return v.item() if isinstance(v, np.generic) else v
+
+
+def check_name(name):
+    """Reject an output name that would leave the output directory: one
+    that is not a string, is empty, `.` or `..`, or holds a path separator
+    (an absolute path does)."""
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or any(sep in name for sep in (os.sep, os.altsep) if sep)):
+        raise ValueError(f"name must be a plain file name, got {name!r}")
+    return name
 
 
 @dataclass
@@ -86,6 +97,7 @@ class StudySpec:
             raise ValueError(f"{self.kind}-study is missing fixed parameters {missing}")
         if self.name is None:
             self.name = f"{self.kind}-{self.case}"
+        check_name(self.name)
         self.configs()   # reject a bad fixed entry or override when the spec is read
 
     @classmethod
@@ -221,9 +233,16 @@ def _fill_eoc(spec: StudySpec, rows: list):
         return
     param = [r[key] for r in usable]
     for col, err_col in (("eoc_dt", "err_dt"), ("eoc_grad", "err_grad")):
-        vals = eoc([r[err_col] for r in usable], param)
+        with np.errstate(divide="ignore", invalid="ignore"):   # zero errors: see _rate
+            vals = eoc([r[err_col] for r in usable], param)
         for row, v in zip(usable[1:], vals):
-            row[col] = round(float(v), 4)
+            row[col] = _rate(v)
+
+
+def _rate(v):
+    """A rate rounded to 4 digits, or None where it is undefined (not finite),
+    which the CSV writes as an empty cell and the JSON summary as null."""
+    return round(float(v), 4) if np.isfinite(v) else None
 
 
 def _summary(spec, rows, failures) -> dict:
@@ -242,8 +261,9 @@ def _summary(spec, rows, failures) -> dict:
     if spec.kind == "pq" and len(scored) >= 2:
         # exponential regime: log err ~ a - b N^(1/3)
         x = np.asarray([r["n_dof"] for r in scored], dtype=float) ** (1.0 / 3.0)
-        out["exp_fit_b_dt"] = round(float(-np.polyfit(x, np.log(errs_dt), 1)[0]), 4)
-        out["exp_fit_b_grad"] = round(float(-np.polyfit(x, np.log(errs_g), 1)[0]), 4)
+        with np.errstate(divide="ignore", invalid="ignore"):   # zero errors: see _rate
+            out["exp_fit_b_dt"] = _rate(-np.polyfit(x, np.log(errs_dt), 1)[0])
+            out["exp_fit_b_grad"] = _rate(-np.polyfit(x, np.log(errs_g), 1)[0])
     if spec.kind == "cfl":
         # a non-finite solve ends in a SolverFailure; the errors that exist
         # must be finite too
@@ -273,7 +293,8 @@ def write_csv(rows: list, path: Path):
 
 
 def write_summary(summary: dict, path: Path):
-    text = json.dumps(summary, indent=2) + "\n"   # a failure leaves no partial file
+    # strict JSON; a failure leaves no partial file
+    text = json.dumps(summary, indent=2, allow_nan=False) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
 

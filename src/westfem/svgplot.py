@@ -84,9 +84,12 @@ def _series_and_legend(out: list, series, ax, ay):
 def plot(path, series, xlog, guides=(), xlabel="", title="") -> bool:
     """series: list of (label, xs, ys) on a log y axis; x is log when xlog,
     linear otherwise.  guides: reference slopes, meaningful on log-log axes.
+    A point with y <= 0 has no place on the log axis and is left out.
     Returns whether a chart was written (not when no y value is positive)."""
+    series = [(label, [x for x, y in zip(xs, ys) if y > 0], [y for y in ys if y > 0])
+              for label, xs, ys in series]
     xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys if y > 0]
+    ys_all = [y for _, _, ys in series for y in ys]
     if not ys_all:
         return False
     ax = _Axis(min(xs_all), max(xs_all), ML, W - MR, log=xlog)
@@ -113,9 +116,9 @@ def plot(path, series, xlog, guides=(), xlabel="", title="") -> bool:
                        f'{v:.3g}</text>')
     _axes_frame(out, xlabel)
 
-    # guide of slope m through a point slightly below the first series
-    if series and guides:
-        _, xs0, ys0 = series[0]
+    # guide of slope m through a point slightly below the first drawn series
+    if guides:
+        _, xs0, ys0 = next(s for s in series if s[2])
         xa, xb = min(xs0), max(xs0)
         for m in guides:
             ya = 0.5 * min(ys0)

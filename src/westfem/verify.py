@@ -261,9 +261,11 @@ def suite_ritz_projection(ck: Checker):
     ck.below("galerkin-orthogonality",
              float(np.abs(res).max() / np.abs(rhs).max()), 1e-12)
     # idempotence: a degree-4 polynomial in H^1_0 is reproduced exactly
-    space4, bubble = FESpace(unit_square_mesh(3), 4), _polynomial_case()
-    diff = ritz_project(space4, bubble.u0_grad) - interpolate(space4, bubble.u0)
-    ck.below("idempotence-p4", float(np.abs(diff).max()), 1e-11)
+    bubble = _polynomial_case()
+    for n in (3, 2):
+        space4 = FESpace(unit_square_mesh(n), 4)
+        diff = ritz_project(space4, bubble.u0_grad) - interpolate(space4, bubble.u0)
+        ck.below(("" if n == 3 else f"n{n}-") + "idempotence-p4", float(np.abs(diff).max()), 1e-12)
     _rate_checks(ck, lambda sp, g, grad: ritz_project(sp, grad))
 
 
@@ -308,9 +310,11 @@ def suite_jump_control_bounds(ck: Checker):
     what the tightness window asserts.
     """
     rng = np.random.default_rng(3)
-    for q in range(2, 7):
+    for q in range(1, 7):
         zeta_true = 1.0 / (4.0 * (2 * q + 1))
         ck.close(f"q{q}-constant-formula", zeta(q) * 4.0 * (2 * q + 1), 1.0, 1e-13)
+        if q == 1:      # the scheme starts at q = 2; q = 1 pins only the formula
+            continue
         g, w = gauss_interval(2 * q + 2)
         vals = shifted_legendre_table(q - 1, g)[0]              # w basis
 
@@ -401,6 +405,12 @@ def suite_time_projection(ck: Checker):
         vec = lambda t: np.array([poly(float(tt)) for tt in np.atleast_1d(t)])
         again = l2_project_time(r, vec, part)
         ck.below(f"r{r}-idempotence", float(np.abs(again.coeffs - coeffs).max()), 1e-12)
+    # a single polynomial of degree r across slab boundaries is reproduced
+    for r in (0, 1, 3):
+        v = lambda t, r=r: sum((0.7 - 0.2 * j) * t ** j for j in range(r + 1))
+        proj = l2_project_time(r, v, TimePartition.from_breakpoints([0.0, 0.3, 0.55, 1.0]))
+        worst = max(abs(proj(t) - v(t)) for t in np.linspace(0.01, 0.99, 37))
+        ck.below(f"r{r}-polynomial-reproduction", worst, 1e-13)
     v = lambda t: np.sin(2.0 * t) * np.exp(0.5 * t)
     for r in (1, 2):
         proj = l2_project_time(r, v, part, npts=12)
@@ -412,7 +422,7 @@ def suite_time_projection(ck: Checker):
             diff = v(t) - np.array([proj(float(tt)) for tt in t])
             tab = shifted_legendre_table(r, g)[0]
             worst = max(worst, float(np.abs(tau * (tab * w) @ diff).max()))
-        ck.below(f"r{r}-orthogonality", worst, 1e-12)
+        ck.below(f"r{r}-orthogonality", worst, 1e-14)
         errs = []
         for m in (4, 8, 16):
             uni = TimePartition.uniform(1.0, 1.0 / m)
@@ -441,6 +451,11 @@ def suite_projection_rates(ck: Checker):
         hs.append(np.sqrt(2.0) / n)
     ck.close("dt-rate", float(eoc(errs_dt, hs)[-1]), min(p + 1, q), 0.3)
     ck.close("grad-rate", float(eoc(errs_g, hs)[-1]), p, 0.3)
+    # at q = 2 one joint halving of h and tau already cuts the gradient error
+    g2 = [err_linf_l2(combined_project(FESpace(unit_square_mesh(n), p),
+                                       TimePartition.uniform(case.T, tau), 2, case), case, "grad")
+          for n, tau in ((2, 0.5), (4, 0.25))]
+    ck.below("q2-joint-refinement", g2[1] / g2[0], 0.45)
     # projecting the discrete space onto itself is the identity
     poly = _polynomial_case()
     space = FESpace(unit_square_mesh(2), 4)
@@ -490,11 +505,13 @@ def suite_manufactured_residual(ck: Checker):
     for label in ("smooth", "smooth-fast"):
         rep = verify_manufactured(get_case(label))
         ck.below(f"{label}-residual", rep["residual_rel"], 1e-6)
-    try:
-        verify_manufactured(get_case("gaussian-pulse"))
-        ck.check("no-exact-solution-guard", False, "accepted a data-only case")
-    except ValueError:
-        ck.check("no-exact-solution-guard", True, "data-only case rejected")
+    for label in ("gaussian-pulse", "standing-wave"):
+        case, tag = get_case(label), "" if label == "gaussian-pulse" else f"{label}-"
+        try:
+            verify_manufactured(case)
+            ck.check(f"{tag}no-exact-solution-guard", False, "accepted a data-only case")
+        except ValueError:
+            ck.check(f"{tag}no-exact-solution-guard", case.u is None, "data-only case rejected")
 
 
 def _criteria_configs():

@@ -3,9 +3,12 @@
 Each test evaluates one criterion at its stated tolerance and prints a
 single PASS/FAIL line with the measured numbers before asserting, so the
 whole gate reads as six lines under ``pytest tests/test_acceptance.py -s``.
+Criterion 2's tau study also feeds `test_tau_rates`, which pins the rate
+pairing the scheme attains; the study runs once per q for both.
 """
 
 import numpy as np
+import pytest
 
 from westfem.analysis import err_linf_l2
 from westfem.cases import ProblemConfig, get_case, run_problem
@@ -37,15 +40,21 @@ def test_criterion_1_h_convergence():
     assert all(checks), detail
 
 
-def test_criterion_2_tau_convergence():
+@pytest.fixture(scope="module")
+def tau_studies():
+    """Criterion 2's tau study, one result per q."""
+    taus = [0.5 * 2.0 ** -i for i in range(1, 5)]
+    return {q: run_study(StudySpec(kind="tau", case="smooth-fast", sweep=taus,
+                                   fixed={"n": 5, "p": 5, "q": q}))
+            for q in (2, 3)}
+
+
+def test_criterion_2_tau_convergence(tau_studies):
     # smooth-fast case, p=5, n=5, tau = 0.5 * 2^-i for i=1..4, q in {2,3}:
     # final-level EOC within +-0.3 of q+1 for err_dt and of q for err_grad
-    taus = [0.5 * 2.0 ** -i for i in range(1, 5)]
     checks, parts = [], []
     for q in (2, 3):
-        spec = StudySpec(kind="tau", case="smooth-fast", sweep=taus,
-                         fixed={"n": 5, "p": 5, "q": q})
-        result = run_study(spec)
+        result = tau_studies[q]
         assert not result.failures
         last = result.rows[-1]
         ok_dt = abs(last["eoc_dt"] - (q + 1)) <= 0.3
@@ -127,3 +136,13 @@ def test_criterion_6_property_suites(verify_report):
     detail = f"{len(verify_report.suites)} suites, failing: {failed or 'none'}"
     _emit("criterion-6 property-suites", ok, detail)
     assert ok, detail
+
+
+# the attained pairing, criterion 2's transposed (README "Tests")
+@pytest.mark.parametrize("q", [2, 3])
+def test_tau_rates(tau_studies, q):
+    result = tau_studies[q]
+    assert not result.failures
+    last = result.rows[-1]
+    assert abs(last["eoc_dt"] - q) <= 0.3, last
+    assert abs(last["eoc_grad"] - (q + 1)) <= 0.3, last

@@ -1,4 +1,5 @@
-"""Manufactured problems: forcing consistency and configuration handling."""
+"""Manufactured problems and configuration handling; forcing consistency
+is checked by the `manufactured-residual` verify suite."""
 
 import dataclasses
 
@@ -11,10 +12,8 @@ from westfem.cases import (CASES, ManufacturedCase, ProblemConfig, get_case,
 
 
 @pytest.mark.parametrize("label", ["smooth", "smooth-fast"])
-def test_forcing_matches_stored_solution(label):
-    # independent check: difference the closed-form u and compare against f
-    out = verify_manufactured(get_case(label))
-    assert out["residual_rel"] < 1e-6, out
+def test_forcing_matches_stored_solution(suite_checks, label):
+    suite_checks("manufactured-residual", f"{label}-residual")
 
 
 def test_corrupted_forcing_is_detected():
@@ -24,11 +23,8 @@ def test_corrupted_forcing_is_detected():
     assert out["residual_rel"] > 1e-4  # the check has teeth
 
 
-def test_standing_wave_has_no_closed_form():
-    case = get_case("standing-wave")
-    assert case.u is None
-    with pytest.raises(ValueError):
-        verify_manufactured(case)
+def test_standing_wave_has_no_closed_form(suite_checks):
+    suite_checks("manufactured-residual", "standing-wave-no-exact-solution-guard")
 
 
 def test_gaussian_pulse_parameters():

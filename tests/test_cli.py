@@ -187,6 +187,25 @@ def test_bad_study_spec_exits_1(tmp_path, capsys, spec):
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "study"])
+@pytest.mark.parametrize("name", ["absolute", "sub/run", ".", "..", ""],
+                         ids=["absolute", "separator", "dot", "dotdot", "empty"])
+def test_name_outside_out_exits_1_before_solving(tmp_path, monkeypatch, capsys, command, name):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before validating the name")
+
+    monkeypatch.setattr(cli, "run_problem", no_solve)
+    monkeypatch.setattr(cli, "run_study", no_solve)
+    if name == "absolute":
+        name = str(tmp_path / "elsewhere" / "run")
+    doc = ({"case": "smooth", "n": 2, "p": 1, "q": 2, "tau": 0.5} if command == "run" else
+           {"kind": "h", "case": "smooth", "sweep": [2], "fixed": {"p": 1, "q": 2, "tau": 0.5}})
+    path = write_json(tmp_path / "c.json", {**doc, "name": name})
+    assert cli.main([command, path, "--out", str(tmp_path / "out")]) == 1
+    assert "plain file name" in capsys.readouterr().err
+    assert not (tmp_path / "elsewhere").exists() and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_study_threads_below_1_exit_1(tmp_path, monkeypatch, capsys, threads):
     def no_study(*args, **kwargs):

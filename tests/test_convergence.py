@@ -1,10 +1,9 @@
-"""Convergence controls at the theoretical rate pairings.
+"""Convergence control at the theoretical spatial rates.
 
-The time derivative of the error converges as h^{p+1} in space and tau^q in
-time; the spatial gradient as h^p and tau^{q+1}.  (The temporal pairing is
-forced: dt of a degree-q trial function has degree q-1, so err_dt cannot
-beat O(tau^q).)  These runs pin the implementation to those orders with
-temporal resp. spatial resolution high enough not to mask them.
+The time derivative of the error converges as h^{p+1}, the spatial gradient
+as h^p, once the temporal order is high enough not to mask them.  The
+temporal control (tau^q and tau^{q+1}) shares criterion 2's study in
+`test_acceptance.py::test_tau_rates`.
 """
 
 import pytest
@@ -22,15 +21,3 @@ def test_h_rates_with_adequate_temporal_order(p):
     last = result.rows[-1]
     assert abs(last["eoc_dt"] - (p + 1)) <= 0.3, last
     assert abs(last["eoc_grad"] - p) <= 0.3, last
-
-
-@pytest.mark.parametrize("q", [2, 3])
-def test_tau_rates(q):
-    taus = [0.5 * 2.0 ** -i for i in range(1, 5)]
-    spec = StudySpec(kind="tau", case="smooth-fast", sweep=taus,
-                     fixed={"n": 5, "p": 5, "q": q})
-    result = run_study(spec)
-    assert not result.failures
-    last = result.rows[-1]
-    assert abs(last["eoc_dt"] - q) <= 0.3, last
-    assert abs(last["eoc_grad"] - (q + 1)) <= 0.3, last

@@ -1,5 +1,6 @@
 """Combined space-time projection used in the error analysis; its exact
-reproduction of a polynomial is checked by the `projection-rates` suite."""
+reproduction of a polynomial and its decrease under joint refinement are
+checked by the `projection-rates` suite."""
 
 import dataclasses
 
@@ -33,13 +34,5 @@ def test_rejects_low_order_and_missing_gradients():
         combined_project(space, part, 2, dataclasses.replace(case, grad_dtu=None))
 
 
-def test_projection_error_decreases_under_joint_refinement():
-    from westfem.analysis import err_linf_l2
-    case = get_case("smooth")
-    errs = []
-    for n, tau in ((2, 0.5), (4, 0.25)):
-        space = FESpace(unit_square_mesh(n), 2)
-        part = TimePartition.uniform(1.0, tau)
-        proj = combined_project(space, part, 2, case)
-        errs.append(err_linf_l2(proj, case, "grad"))
-    assert errs[1] < 0.45 * errs[0]
+def test_projection_error_decreases_under_joint_refinement(suite_checks):
+    suite_checks("projection-rates", "q2-joint-refinement")

@@ -291,11 +291,8 @@ def test_solver_failure_names_slab_and_interval(monkeypatch):
     assert "slab 1 (t in [0, 0.25])" in str(exc)
 
 
-def test_factorization_reused_on_uniform_partition():
-    cfg = ProblemConfig(case=get_case("smooth"), n=3, p=2, q=2, tau=0.125)
-    _, _, _, rep = run_problem(cfg)
-    assert rep.n_factorizations == 1
-    assert rep.factorization_reuses == 8 - 1
+def test_factorization_reused_on_uniform_partition(suite_checks):
+    suite_checks("polynomial-exactness", "single-factorization", "q3-uniform-single-factorization")
 
 
 def test_evenly_spaced_breakpoints_share_one_factorization():
@@ -369,15 +366,6 @@ def test_next_state_hands_off_traces():
                            atol=1e-13 * np.abs(load).max())
         assert np.array_equal(state.f_loads,
                               ws.f_time_loads(part.breakpoints[n + 1], part.taus[n + 1]))
-
-
-def test_longtime_large_steps_stay_bounded():
-    # tau far above any CFL-type limit; unconditional stability in practice
-    case = get_case("smooth", T=10.0)
-    cfg = ProblemConfig(case=case, n=4, p=1, q=2, tau=2.0)
-    _, _, sol, rep = run_problem(cfg)
-    assert np.all(np.isfinite(sol.modes))
-    assert all(info.coeff_min > 0.1 for info in rep.slabs)
 
 
 @pytest.mark.parametrize("label", ["smooth", "gaussian-pulse", "standing-wave"])

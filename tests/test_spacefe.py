@@ -1,4 +1,5 @@
-"""Assembly, interpolation, Ritz projection, and point evaluation."""
+"""Assembly, interpolation and point evaluation; the Ritz projection is
+checked by the `ritz-projection` verify suite."""
 
 import sys
 import threading
@@ -10,7 +11,7 @@ import pytest
 import westfem.spacefe as spacefe
 from westfem.cases import get_case
 from westfem.mesh import edge_table, unit_square_mesh
-from westfem.spacefe import FESpace, evaluate, interpolate, ritz_project
+from westfem.spacefe import FESpace, evaluate, interpolate
 
 
 def make_space(n, p):
@@ -125,31 +126,12 @@ def test_evaluate_reproduces_fe_function():
     assert np.max(np.abs(evaluate(space, g, x, y) - exact)) < 1e-13
 
 
-def test_ritz_projection_reproduces_fe_function():
-    # bubble x(1-x)y(1-y) lies in V_h for p = 4 and vanishes on the boundary
-    space = make_space(2, 4)
-    exact = interpolate(space, lambda x, y: x * (1 - x) * y * (1 - y))
-
-    def grad(x, y):
-        return ((1 - 2 * x) * y * (1 - y), x * (1 - x) * (1 - 2 * y))
-
-    proj = ritz_project(space, grad)
-    assert np.max(np.abs(proj - exact)) < 1e-12
+def test_ritz_projection_reproduces_fe_function(suite_checks):
+    suite_checks("ritz-projection", "n2-idempotence-p4", "idempotence-p4")
 
 
-def test_ritz_projection_galerkin_orthogonality():
-    space = make_space(4, 2)
-    gp = ritz_project(space, lambda x, y: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-                                           np.pi * np.sin(np.pi * x) * np.cos(np.pi * y)))
-    # residual of the defining linear system on free dofs
-    ed = space.element_data(2 * space.p + 2)
-    x, y = ed.phys[:, :, 0], ed.phys[:, :, 1]
-    load = ed.assemble_gradient_load(np.stack(
-        [np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-         np.pi * np.sin(np.pi * x) * np.cos(np.pi * y)], axis=-1))
-    res = (space.stiffness @ gp)[space.free_dofs] - load[space.free_dofs]
-    scale = np.max(np.abs(load)) or 1.0
-    assert np.max(np.abs(res)) < 1e-12 * scale
+def test_ritz_projection_galerkin_orthogonality(suite_checks):
+    suite_checks("ritz-projection", "galerkin-orthogonality")
 
 
 def test_boundary_rows_fixed():

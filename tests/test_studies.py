@@ -4,6 +4,7 @@ import csv
 import json
 import threading
 import time
+import warnings
 import xml.etree.ElementTree as ET
 from collections import Counter
 
@@ -14,6 +15,7 @@ import westfem.spacefe as spacefe
 import westfem.studies as studies
 from westfem.analysis import err_linf_l2
 from westfem.cases import run_problem
+from westfem import svgplot
 from westfem.errors import SolverFailure
 from westfem.studies import (CSV_COLUMNS, StudySpec, run_study, write_csv,
                              write_study_outputs, write_summary)
@@ -295,6 +297,46 @@ def test_pq_and_delta_plots(delta_result, tmp_path):
     assert not any(t.startswith("slope") for t in texts)
     texts = _svg_texts(write_study_outputs(delta_result, tmp_path, plot=True)["svg"])
     assert "delta" in texts and "slope 1" in texts
+
+
+def test_log_plot_leaves_out_non_positive_points(tmp_path):
+    def circles(ys):
+        path = tmp_path / "p.svg"
+        xs = [0.5, 0.25, 0.125]
+        assert svgplot.plot(path, [("err_dt", xs, ys), ("err_grad", xs, [1e-2, 1e-3, 1e-4])],
+                            xlog=True, guides=[1])
+        return len(ET.parse(path).getroot().findall("{http://www.w3.org/2000/svg}circle"))
+
+    # a zero in the first series, which also places the slope guides
+    assert circles([0.0, 1e-2, 1e-3]) == circles([1e-1, 1e-2, 1e-3]) - 1
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("spec", [
+    dict(kind="delta", case="smooth", sweep=[1e-2, 1e-300],
+         fixed={"n": 2, "p": 1, "q": 2, "tau": 0.5}),
+    dict(kind="h", case="smooth", sweep=[2, 3], fixed={"p": 1, "q": 2, "tau": 0.5},
+         case_overrides={"A": 0.0}),
+    dict(kind="pq", case="smooth", sweep=[2, 3], fixed={"n": 2, "tau": 0.5},
+         case_overrides={"A": 0.0}),
+], ids=["delta-zero-error", "h-zero-amplitude", "pq-zero-amplitude"])
+def test_undefined_rates_are_empty_cells_and_null(spec, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_study(StudySpec(**spec))
+    paths = write_study_outputs(result, tmp_path)
+    summary = json.loads(open(paths["json"]).read(), parse_constant=_no_constant)
+    rates = [summary[k] for k in ("eoc_dt", "eoc_grad", "exp_fit_b_dt", "exp_fit_b_grad")
+             if k in summary]
+    assert rates and all(r in (None, [None]) for r in rates), summary
+    for row in csv.DictReader(open(paths["csv"])):
+        assert row["eoc_dt"] == row["eoc_grad"] == ""
+    with pytest.raises(ValueError):
+        write_summary({"eoc_dt": [float("inf")]}, tmp_path / "nan.json")
+    assert not (tmp_path / "nan.json").exists()
 
 
 def test_data_only_study_leaves_error_cells_empty(tmp_path):

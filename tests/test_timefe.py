@@ -1,12 +1,13 @@
-"""Time partitions, shifted Legendre bases, temporal projections, zeta; the
-P_tau conditions are checked by the `ptau-conditions` verify suite, and the
-P_tau ids below report its checks."""
+"""Time partitions, shifted Legendre bases and the trial basis.  The P_tau
+conditions, the L2 projection in time and zeta are checked by the
+`ptau-conditions`, `time-projection` and `jump-control-bounds` verify
+suites; the ids below report their checks."""
 
 import numpy as np
 import pytest
 
-from westfem.timefe import (TimePartition, TimePoly, gauss_interval, l2_project_time,
-                            ptau_project, shifted_legendre_table, trial_basis, zeta)
+from westfem.timefe import (TimePartition, TimePoly, gauss_interval, ptau_project,
+                            shifted_legendre_table, trial_basis)
 
 
 def test_uniform_partition():
@@ -178,27 +179,12 @@ def test_trial_basis(q):
 
 
 @pytest.mark.parametrize("r", [0, 1, 3])
-def test_l2_projection_reproduces_degree_r(r):
-    part = TimePartition.from_breakpoints([0.0, 0.3, 0.55, 1.0])
-
-    def v(t):
-        return sum((0.7 - 0.2 * j) * t ** j for j in range(r + 1))
-
-    proj = l2_project_time(r, v, part)
-    for t in np.linspace(0.01, 0.99, 37):
-        assert abs(proj(t) - v(t)) < 1e-13
+def test_l2_projection_reproduces_degree_r(suite_checks, r):
+    suite_checks("time-projection", f"r{r}-polynomial-reproduction")
 
 
-def test_l2_projection_orthogonality():
-    part = TimePartition.from_breakpoints([0.0, 0.45, 1.0])
-    proj = l2_project_time(2, np.cos, part)
-    x, w = gauss_interval(8)
-    for n in range(part.n_slabs):
-        t0, tau = part.breakpoints[n], part.taus[n]
-        t = t0 + tau * x
-        for deg in range(3):
-            m = float(np.sum(w * (np.cos(t) - [proj(tt) for tt in t]) * x ** deg))
-            assert abs(m) < 1e-14
+def test_l2_projection_orthogonality(suite_checks):
+    suite_checks("time-projection", "r2-orthogonality")
 
 
 # hand-computed image: projecting t^3 on a single q=2 slab over (0,1) gives 2t^2 - t
@@ -215,7 +201,5 @@ def test_ptau_reproduces_degree_q(suite_checks):
     suite_checks("ptau-conditions", "q3-cubic-exact")
 
 
-def test_zeta_values():
-    assert zeta(1) == pytest.approx(1 / 12)
-    assert zeta(2) == pytest.approx(1 / 20)
-    assert zeta(5) == pytest.approx(1 / 44)
+def test_zeta_values(suite_checks):
+    suite_checks("jump-control-bounds", *(f"q{q}-constant-formula" for q in (1, 2, 5)))
