@@ -20,11 +20,12 @@ terms of the fixed-point iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .spacefe import FESpace, ritz_project
+from .spacefe import ElementData, FESpace, ritz_project
 from .timefe import TimePartition, trial_basis
 
 
@@ -118,14 +119,21 @@ class SlabState:
 class SlabWorkspace:
     """The problem (a cases.ManufacturedCase: c, k, delta, f), its spatial
     quadrature data and the temporal trial basis, shared by RHS assembly,
-    residuals, and the guard."""
+    residuals, and the guard.  The rules are read from the space on first
+    use, so a new workspace has the space build no element data."""
 
     def __init__(self, space: FESpace, q: int, case):
         self.space = space
         self.case = case
         self.basis = trial_basis(q)
-        self.ed_lin = space.ed_lin
-        self.ed_nl = space.ed_nl
+
+    @cached_property
+    def ed_lin(self) -> ElementData:
+        return self.space.ed_lin
+
+    @cached_property
+    def ed_nl(self) -> ElementData:
+        return self.space.ed_nl
 
     def f_time_loads(self, t_start: float, tau: float) -> np.ndarray:
         """Spatial loads of f at the slab's temporal Gauss nodes; (2q, n_dof)."""

@@ -7,6 +7,11 @@ of its length) while the lagged terms
 -k (dt(u^s dtu^s), w) - k (u(t-) dtu^s(t+), w(t+)) update the right-hand
 side.  The initial guess is the k = 0 solve, so a linear problem converges
 in exactly one iteration.
+
+A new slab length is factored before its slab's data is built.  The first
+slab LU is a solve's largest allocation and sets its peak memory, so it
+comes before the start traces, the loads and the nonlinear rule's element
+data exist: beside it live only the space's matrices and the operator.
 """
 
 from __future__ import annotations
@@ -144,18 +149,20 @@ def solve_westervelt(space: FESpace, partition: TimePartition, q: int,
     factors: dict[float, Factorization] = {}
     last = {tau: n for n, tau in enumerate(partition.taus)}   # last slab of each length
     all_modes = np.empty((partition.n_slabs, q, space.n_dof))
-    state = start = first_state(ws, partition)
 
     for n in range(partition.n_slabs):
-        if n > 0:
-            state = next_state(ws, state, all_modes[n - 1], partition)
-        if state.tau not in factors:
-            factors[state.tau] = Factorization(ws, state.tau)
+        tau = float(partition.taus[n])
+        if tau not in factors:
+            factors[tau] = Factorization(ws, tau)
             report.n_factorizations += 1
-        all_modes[n], info = solve_slab_fixed_point(factors[state.tau], ws, state)
+        if n == 0:
+            state = start = first_state(ws, partition)
+        else:
+            state = next_state(ws, state, all_modes[n - 1], partition)
+        all_modes[n], info = solve_slab_fixed_point(factors[tau], ws, state)
         report.slabs.append(info)
-        if last[state.tau] == n:
-            del factors[state.tau]
+        if last[tau] == n:
+            del factors[tau]
 
     report.factorization_reuses = partition.n_slabs - report.n_factorizations
     sol = DiscreteSolution(space, partition, q, all_modes, start.u_start)

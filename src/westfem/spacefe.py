@@ -162,6 +162,13 @@ class ElementData:
     one sampled time per call) and assemble through the kernels below; the
     geometry and weights stay inside this module.
 
+    Lifetime rule: the sampling geometry `xy` and the weights `wdetj`, two
+    (nt, nq) fields, are built on first use under the space's lock, so every
+    caller and every thread still gets the same objects.  Mass, stiffness
+    and the slab operator never read them, and the solver factors its first
+    slab LU before anything samples data: that LU sets a solve's peak memory,
+    and every array alive beside it adds to the peak.
+
     Layout rule: the kernels hand einsum operands laid out so that its loops
     are vectorised over the element axis instead of running over the short
     local axes.  For this the data keeps two contiguous copies next to the
@@ -210,7 +217,6 @@ class ElementData:
         va, vb, vc = mesh.vertices[mesh.triangles].transpose(1, 0, 2)
         jac = np.stack([vb - va, vc - va], axis=2)       # (nt, 2, 2), columns
         self.detj = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        self.wdetj = w[None, :] * self.detj[:, None]     # (nt, nq) weights
         inv = np.empty_like(jac)
         inv[:, 0, 0] = jac[:, 1, 1]
         inv[:, 0, 1] = -jac[:, 0, 1]
@@ -218,14 +224,32 @@ class ElementData:
         inv[:, 1, 1] = jac[:, 0, 0]
         inv /= self.detj[:, None, None]
         self.jinv = inv                                  # J^{-1}
-        self.phys = map_to_cells(mesh, pts)              # (nt, nq, 2)
-        # read-only, and `sample` hands every callable these same two views,
-        # so a callable may memoise what it computes from them (cases.py does)
-        self.phys.flags.writeable = False
-        self.xy = (self.phys[:, :, 0], self.phys[:, :, 1])
         self.gdofs = space.cell_dofs
         self.gdofs_lt = np.ascontiguousarray(space.cell_dofs.T)
         self.n_dof = space.n_dof
+        # built on first use, see `xy` and `wdetj`
+        self._mesh, self._pts, self._lock = mesh, pts, space._lock
+        self._xy = self._wdetj = None
+
+    @property
+    def xy(self) -> tuple:
+        """The quadrature points' x and y, (nt, nq) each: two read-only views
+        of one array.  `sample` hands every callable these same two views, so
+        a callable may memoise what it computes from them (cases.py does)."""
+        with self._lock:
+            if self._xy is None:
+                phys = map_to_cells(self._mesh, self._pts)   # (nt, nq, 2)
+                phys.flags.writeable = False
+                self._xy = (phys[:, :, 0], phys[:, :, 1])
+            return self._xy
+
+    @property
+    def wdetj(self) -> np.ndarray:
+        """Quadrature weights times |J| per point; (nt, nq)."""
+        with self._lock:
+            if self._wdetj is None:
+                self._wdetj = self.w[None, :] * self.detj[:, None]
+            return self._wdetj
 
     def sample(self, g, *t, cells: slice | None = None):
         """g(x, y, *t) at the quadrature points, broadcast to (nt, nq); a
@@ -276,18 +300,19 @@ class ElementData:
         """Integral of (u_h - exact)^2 for the FE function `coeffs` and
         `exact` given at the quadrature points (nt, nq).  The values are
         those of `assemble_loads` for one row, bit for bit."""
-        e = np.empty(self.wdetj.shape)
+        wdetj = self.wdetj
+        e = np.empty(wdetj.shape)
         for b in self._blocks():
             d = np.subtract(self._values(coeffs[None], b)[0], exact[b], out=e[b])
             d *= d
-            d *= self.wdetj[b]
+            d *= wdetj[b]
         return float(np.sum(e))
 
     def gradient_error(self, coeffs: np.ndarray, exact) -> float:
         """Integral of |grad u_h - exact|^2 for the FE function `coeffs` and
         a vector field `exact` = (gx, gy) given at the quadrature points."""
-        local = coeffs[self.gdofs]
-        e = np.empty(self.wdetj.shape)
+        local, wdetj = coeffs[self.gdofs], self.wdetj
+        e = np.empty(wdetj.shape)
         for b in self._blocks():
             ex, ey = self._gradient_components(local[b], self.jinv[b])
             ex -= exact[0][b]
@@ -295,7 +320,7 @@ class ElementData:
             ey -= exact[1][b]
             ey *= ey
             ex += ey
-            np.multiply(ex, self.wdetj[b], out=e[b])
+            np.multiply(ex, wdetj[b], out=e[b])
         return float(np.sum(e))
 
     def assemble_pointwise_load(self, f_qp: np.ndarray) -> np.ndarray:

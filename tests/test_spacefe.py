@@ -222,7 +222,7 @@ def test_kernels_match_element_major_einsum(p, deg):
 
     # sampling, integration and the shared load scatter (gradient load
     # against its einsum with an np.add.at scatter written inline)
-    x, y = ed.phys[:, :, 0], ed.phys[:, :, 1]
+    x, y = ed.xy
     g = lambda x, y, t: np.sin(x + t) * y
     assert np.array_equal(ed.sample(g, 0.3), g(x, y, 0.3))
     assert np.array_equal(ed.sample(lambda x, y: 2.0), np.full(x.shape, 2.0))
@@ -320,16 +320,27 @@ def test_lazy_cache_builds_once_under_thread_contention(monkeypatch):
     real = spacefe.assemble_stiffness
 
     def counted(space):
-        builds.append(space)
+        builds.append("stiffness")
         time.sleep(0.01)
         return real(space)
 
     monkeypatch.setattr(spacefe, "assemble_stiffness", counted)
     space = make_space(4, 2)
+    real_map = spacefe.map_to_cells
+
+    def counted_map(mesh, pts):                      # the sampling geometry xy
+        builds.append("xy")
+        time.sleep(0.01)
+        return real_map(mesh, pts)
+
+    monkeypatch.setattr(spacefe, "map_to_cells", counted_map)
     seen = []
 
     def work():
-        seen.append((space.stiffness, space.stiffness_ff, space.element_data(7)))
+        ed = space.element_data(7)
+        xy = []
+        ed.sample(lambda x, y: xy.extend((x, y)) or 0.0)
+        seen.append((space.stiffness, space.stiffness_ff, ed, *xy))
         space.solve_stiffness(np.ones(space.n_free))
 
     old = sys.getswitchinterval()
@@ -343,7 +354,7 @@ def test_lazy_cache_builds_once_under_thread_contention(monkeypatch):
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    assert len(seen) == 8 and len(builds) == 1
+    assert len(seen) == 8 and sorted(builds) == ["stiffness", "xy"]
     assert all(all(a is b for a, b in zip(s, seen[0])) for s in seen)
 
 
