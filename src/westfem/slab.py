@@ -40,11 +40,12 @@ def coupling_blocks(q: int, tau: float, c: float, delta: float):
     return cm, ck
 
 
-def _dense_csc(mat: sp.csc_matrix) -> sp.csc_matrix:
-    """`mat` storing every entry, zeros included, column by column."""
-    n = mat.shape[0]
-    return sp.csc_matrix((mat.toarray().ravel(order="F"), np.arange(n * n) % n,
-                          np.arange(0, n * n + 1, n)), shape=mat.shape)
+def _dense_pattern(space: FESpace) -> tuple:
+    """The free-dof pattern storing every entry, column by column: (indptr,
+    indices, take) with the identity `take`, then M_ff's and K_ff's data on it."""
+    n = space.n_free
+    dense = (m.toarray().ravel(order="F") for m in (space.mass_ff, space.stiffness_ff))
+    return (np.arange(0, n * n + 1, n), np.arange(n * n) % n, np.arange(n * n), *dense)
 
 
 def assemble_slab_lhs(space: FESpace, cm: np.ndarray, ck: np.ndarray) -> sp.csc_matrix:
@@ -52,21 +53,23 @@ def assemble_slab_lhs(space: FESpace, cm: np.ndarray, ck: np.ndarray) -> sp.csc_
     straight into CSC on the free-dof pattern that M_ff and K_ff share.
 
     Block (a, b) is cm[a, b] * M_ff.data + ck[a, b] * K_ff.data on that
-    pattern: the products and the sum of scipy's sparse kron and add.  Each
-    column lists its rows a-major, then in the pattern's order, which is the
+    pattern, both gathered through its `take` from the global matrices' data:
+    the products and the sum of scipy's sparse kron and add.  Each column
+    lists its rows a-major, then in the pattern's order, which is the
     canonical CSC order.  As in scipy's form, a block with cm[a, b] =
-    ck[a, b] = 0 is not stored, and exact zeros are dropped if any occur.
-    The exception is a pattern at least half dense, which only the smallest
-    meshes have (n <= 4 at p = 1, n <= 2 at p = 2, n = 1 at higher p):
-    scipy's kron then stores dense blocks, zeros and all, and since the slab
-    LU's round-off follows the stored pattern, so does this form.  Temporaries
-    are a few arrays of the pattern's size, 1/q^2 of the result each."""
-    mass, stiff = space.mass_ff, space.stiffness_ff
+    ck[a, b] = 0 is not stored, and exact zeros are dropped if any occur.  The
+    exception is a pattern at least half dense, which only the smallest meshes
+    have (n <= 4 at p = 1, n <= 2 at p = 2, n = 1 at higher p): scipy's kron
+    then stores dense blocks, zeros and all, and since the slab LU's round-off
+    follows the stored pattern, so does this form.  Temporaries are a few
+    arrays of the pattern's size, 1/q^2 of the result each."""
+    ptr, rows, take = space._ff_pattern()
+    mass, stiff = space.mass.data, space.stiffness.data
     q, nf = len(cm), space.n_free
-    half_dense = 0 < nf * nf <= 2 * mass.nnz
+    half_dense = 0 < nf * nf <= 2 * len(take)
     if half_dense:
-        mass, stiff = _dense_csc(mass), _dense_csc(stiff)
-    ptr, rows, nnz = mass.indptr, mass.indices, mass.nnz
+        ptr, rows, take, mass, stiff = _dense_pattern(space)
+    nnz = len(take)
     counts = np.diff(ptr)
     ptr_e = np.repeat(ptr[:-1], counts)              # ptr[j] of each entry's column j
     local = np.arange(nnz, dtype=ptr.dtype) - ptr_e  # its place in column j
@@ -86,8 +89,9 @@ def assemble_slab_lhs(space: FESpace, cm: np.ndarray, ck: np.ndarray) -> sp.csc_
         pos += local
         pos += start
         for a in blocks:
-            np.multiply(mass.data, cm[a, b], out=vals)
-            np.multiply(stiff.data, ck[a, b], out=term)
+            # mode "clip" lets np.take write into `out` without a buffer
+            np.multiply(np.take(mass, take, out=vals, mode="clip"), cm[a, b], out=vals)
+            np.multiply(np.take(stiff, take, out=term, mode="clip"), ck[a, b], out=term)
             vals += term
             data[pos] = vals
             indices[pos] = rows + idx(a * nf)

@@ -96,15 +96,21 @@ class FESpace:
 
     @property
     def stiffness(self) -> sp.csr_matrix:
-        return self._cached("stiffness", lambda: assemble_stiffness(self))
+        def build():             # on mass's indptr and indices, checked equal
+            mass, stiff = self.mass, assemble_stiffness(self)
+            for attr in ("indptr", "indices"):
+                if not np.array_equal(getattr(stiff, attr), getattr(mass, attr)):
+                    raise RuntimeError(f"stiffness and mass differ in {attr}")
+                setattr(stiff, attr, getattr(mass, attr))
+            return stiff
+        return self._cached("stiffness", build)
 
-    def _ff_pattern(self, mat: sp.csr_matrix):
+    def _ff_pattern(self):
         """The free-dof pattern: (indptr, indices) of the free-free block in
-        CSC order, and `take`, the position in mat.data of each of its
-        entries.  Mass and stiffness come from _scatter on the same
-        cell_dofs, so they have one global pattern, and this map, built once
-        from whichever of them comes first, serves both."""
+        CSC order, and `take`, the position of each of its entries in the
+        data of mass and of stiffness, which share one global pattern."""
         def build():
+            mat = self.mass
             ids = sp.csr_matrix((np.arange(mat.nnz, dtype=mat.indices.dtype), mat.indices,
                                  mat.indptr), shape=mat.shape)
             ff = ids[self.free_dofs][:, self.free_dofs].tocsc()
@@ -112,14 +118,11 @@ class FESpace:
         return self._cached("ff_pattern", build)
 
     def _ff(self, name):
-        """The free-free block of `name`, gathered onto the free-dof pattern,
-        so mass_ff and stiffness_ff share their indptr and indices arrays."""
-        def build():
-            mat = getattr(self, name)
-            indptr, indices, take = self._ff_pattern(mat)
-            return sp.csc_matrix((mat.data[take], indices, indptr),
-                                 shape=(self.n_free, self.n_free))
-        return self._cached((name, "ff"), build)
+        """The free-free block of `name`, gathered anew at each call onto the
+        cached free-dof pattern, whose indptr and indices it shares."""
+        indptr, indices, take = self._ff_pattern()
+        return sp.csc_matrix((getattr(self, name).data[take], indices, indptr),
+                             shape=(self.n_free, self.n_free))
 
     @property
     def mass_ff(self):
@@ -167,7 +170,8 @@ class ElementData:
     caller and every thread still gets the same objects.  Mass, stiffness
     and the slab operator never read them, and the solver factors its first
     slab LU before anything samples data: that LU sets a solve's peak memory,
-    and every array alive beside it adds to the peak.
+    and every array alive beside it adds to the peak (there: the dofmap, this
+    rule's Jacobians, mass, stiffness, the free-dof pattern, the operator).
 
     Layout rule: the kernels hand einsum operands laid out so that its loops
     are vectorised over the element axis instead of running over the short
@@ -372,14 +376,14 @@ class ElementData:
 
 
 def _scatter(space: FESpace, local: np.ndarray) -> sp.csr_matrix:
-    """Accumulate per-element matrices (nt, nl, nl) into a global CSR."""
+    """Accumulate per-element matrices (nt, nl, nl) into a compact global CSR."""
     gd = space.cell_dofs
     nl = gd.shape[1]
-    rows = np.repeat(gd, nl, axis=1).ravel()
-    cols = np.tile(gd, (1, nl)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                        shape=(space.n_dof, space.n_dof))
-    return mat.tocsr()
+    # the int64 rows and cols die once the COO holds its int32 copies of them
+    mat = sp.coo_matrix((local.ravel(), (np.repeat(gd, nl, axis=1).ravel(),
+                                          np.tile(gd, (1, nl)).ravel())),
+                        shape=(space.n_dof, space.n_dof)).tocsr()
+    return mat.copy()               # tocsr leaves views of COO-sized buffers
 
 
 def assemble_mass(space: FESpace) -> sp.csr_matrix:

@@ -280,11 +280,12 @@ def suite_inverse_trace_constants(ck: Checker):
     scaled = []
     for n in (4, 8, 16):
         space = FESpace(unit_square_mesh(n), 2)
+        stiff, mass = space.stiffness_ff, space.mass_ff  # gathered on each read
         x = rng.standard_normal(space.n_free)
         for _ in range(60):
-            x = space.solve_mass(space.stiffness_ff @ x)
+            x = space.solve_mass(stiff @ x)
             x /= np.linalg.norm(x)
-        lam = float((x @ (space.stiffness_ff @ x)) / (x @ (space.mass_ff @ x)))
+        lam = float((x @ (stiff @ x)) / (x @ (mass @ x)))
         scaled.append(lam * mesh_size(unit_square_mesh(n)) ** 2)
     for i, v in enumerate(scaled):
         ck.within(f"spatial-inverse-level{i}", v / scaled[0], 0.7, 1.3)

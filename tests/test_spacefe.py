@@ -7,9 +7,10 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import westfem.spacefe as spacefe
-from westfem.cases import get_case
+from westfem.cases import ProblemConfig, get_case, run_problem
 from westfem.mesh import edge_table, unit_square_mesh
 from westfem.spacefe import FESpace, evaluate, interpolate
 
@@ -173,6 +174,21 @@ def test_free_free_blocks_share_one_pattern(p):
         blocks[name] = got
     for attr in ("indices", "indptr"):
         assert np.shares_memory(getattr(blocks["mass"], attr), getattr(blocks["stiffness"], attr))
+
+
+def test_global_matrices_are_stored_once():
+    # n = 5, p = 2 has shared dofs, so the COO of the scatter has duplicates
+    # that tocsr sums into views of its longer buffers
+    space = make_space(5, 2)
+    mass, stiff = space.mass, space.stiffness
+    assert space.cell_dofs.size * space.cell_dofs.shape[1] > mass.nnz
+    assert stiff.indices is mass.indices and stiff.indptr is mass.indptr
+    for arr in (mass.data, mass.indices, stiff.data):
+        owner = arr if arr.base is None else arr.base
+        assert arr.size == mass.nnz and owner.nbytes == mass.nnz * arr.itemsize
+    run_problem(ProblemConfig(case=get_case("smooth"), n=5, p=2, q=2, tau=0.5), space)
+    held = sorted(k for k, v in space._cache.items() if sp.issparse(v))
+    assert held == ["mass", "stiffness"]           # no free-free block kept
 
 
 def _kernel_cases():
@@ -340,7 +356,7 @@ def test_lazy_cache_builds_once_under_thread_contention(monkeypatch):
         ed = space.element_data(7)
         xy = []
         ed.sample(lambda x, y: xy.extend((x, y)) or 0.0)
-        seen.append((space.stiffness, space.stiffness_ff, ed, *xy))
+        seen.append((space.stiffness, space._ff_pattern(), ed, *xy))
         space.solve_stiffness(np.ones(space.n_free))
 
     old = sys.getswitchinterval()

@@ -13,8 +13,9 @@ per slab) and the data functional; then the rows of a small study of each
 kind, every cell except the timings; then, per space of GEOMETRY, the dofmap
 (free dofs, cell dofs, dof coordinates), the quadrature points of the three
 rules, `smooth`'s f, dtu and grad_u sampled on each rule at one time and at
-an array of times, point values of an interpolant, and the CSC arrays of
-the slab operator (`smooth`'s c and delta, tau = 0.25) at each q of LHS_Q.
+an array of times, point values of an interpolant, the CSR arrays of the
+global mass and stiffness matrices, and the CSC arrays of the slab
+operator (`smooth`'s c and delta, tau = 0.25) at each q of LHS_Q.
 `compare` checks every array of A against B with np.array_equal (NaN equal
 to NaN), prints each key that is missing or differs, and exits 1 if any
 does.
@@ -96,6 +97,9 @@ def _geometry(wf, n, p):
     xg, yg = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 41))
     coeffs = wf.interpolate(space, lambda x, y: np.sin(3 * x + 1) * np.cos(2 * y) + x * y)
     out["evaluate"] = wf.evaluate(space, coeffs, xg.ravel(), yg.ravel())
+    for name in ("mass", "stiffness"):
+        for part in ("data", "indices", "indptr"):
+            out[f"{name}/{part}"] = getattr(getattr(space, name), part)
     for q in LHS_Q:
         lhs = wf.slab.assemble_slab_lhs(
             space, *wf.slab.coupling_blocks(q, 0.25, smooth.c, smooth.delta))
