@@ -69,10 +69,10 @@ def assemble_slab_lhs(space: FESpace, cm: np.ndarray, ck: np.ndarray) -> sp.csc_
     half_dense = 0 < nf * nf <= 2 * len(take)
     if half_dense:
         ptr, rows, take, mass, stiff = _dense_pattern(space)
+    take = take.astype(np.intp, copy=False)          # else each np.take makes an intp copy
     nnz = len(take)
     counts = np.diff(ptr)
     ptr_e = np.repeat(ptr[:-1], counts)              # ptr[j] of each entry's column j
-    local = np.arange(nnz, dtype=ptr.dtype) - ptr_e  # its place in column j
     step = np.repeat(counts, counts)
     stored = (cm != 0) | (ck != 0)
     size = int(stored.sum()) * nnz
@@ -85,9 +85,9 @@ def assemble_slab_lhs(space: FESpace, cm: np.ndarray, ck: np.ndarray) -> sp.csc_
         # column j of block column b: the stored blocks' column j, one after another
         blocks = np.flatnonzero(stored[:, b])
         indptr[b * nf:(b + 1) * nf] = start + len(blocks) * ptr[:-1].astype(np.int64)
-        np.multiply(ptr_e, len(blocks), out=pos, dtype=np.int64)
-        pos += local
-        pos += start
+        np.multiply(ptr_e, len(blocks) - 1, out=pos, dtype=np.int64)
+        pos += np.arange(nnz, dtype=ptr.dtype)       # entry i of column j goes to start
+        pos += start                                 # + len(blocks) ptr[j] + (i - ptr[j])
         for a in blocks:
             # mode "clip" lets np.take write into `out` without a buffer
             np.multiply(np.take(mass, take, out=vals, mode="clip"), cm[a, b], out=vals)

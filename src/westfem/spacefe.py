@@ -394,18 +394,33 @@ def assemble_mass(space: FESpace) -> sp.csr_matrix:
     return _scatter(space, local)
 
 
+# powers of an odd constant: the multipliers of the hash that sorts the geometry
+_MIX = np.uint64(0x9E3779B97F4A7C15) ** np.arange(1, 6, dtype=np.uint64)
+
+
 def assemble_stiffness(space: FESpace) -> sp.csr_matrix:
-    """Global stiffness matrix (grad phi_j, grad phi_i)."""
-    # the kernel's scratch arrays are freed before the scatter allocates
-    local = np.ascontiguousarray(_element_stiffness(space.ed_lin).transpose(2, 0, 1))
+    """Global stiffness matrix (grad phi_j, grad phi_i), with the kernel run
+    once per geometry class: the elements whose J^{-1} and det J are equal bit
+    for bit.  Sorting on a hash of those bits puts a class's rows side by side
+    (a collision can only split a class).  Exact: the kernel is elementwise."""
+    ed = space.ed_lin
+    bits = np.column_stack([ed.jinv.reshape(-1, 4), ed.detj]).view(np.uint64)
+    order = np.argsort((bits ^ (bits >> np.uint64(32))) @ _MIX)
+    starts = np.r_[True, np.diff(bits[order], axis=0).any(axis=1)]
+    cls = np.empty_like(order)
+    cls[order] = np.cumsum(starts) - 1
+    first = order[starts]
+    # the kernel's arrays are freed before the scatter allocates
+    local = _element_stiffness(ed, ed.jinv[first], ed.detj[first]).transpose(2, 0, 1)[cls]
     return _scatter(space, local)
 
 
-def _element_stiffness(ed: ElementData) -> np.ndarray:
-    """Element matrices (nl, nl, nt), one quadrature point at a time: the
-    order of einsum("q,qid,tdf,qjf->tij", w, grads_ref, C, grads_ref)."""
+def _element_stiffness(ed: ElementData, jinv: np.ndarray, detj: np.ndarray) -> np.ndarray:
+    """Element matrices (nl, nl, ne) of J^{-1} (ne, 2, 2) and det J (ne,) on ed's
+    tables, one quadrature point at a time, each step elementwise: the order
+    of einsum("q,qid,tdf,qjf->tij", w, grads_ref, C, grads_ref)."""
     # C_e = detJ * J^{-1} J^{-T}
-    c = np.einsum("tde,tfe->tdf", ed.jinv, ed.jinv) * ed.detj[:, None, None]
+    c = np.einsum("tde,tfe->tdf", jinv, jinv) * detj[:, None, None]
     wg = ed.w[:, None, None] * ed.grads_ref
     g = ed.grads_ref
     nl = g.shape[1]

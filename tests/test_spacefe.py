@@ -1,6 +1,7 @@
 """Assembly, interpolation and point evaluation; the Ritz projection is
 checked by the `ritz-projection` verify suite."""
 
+import dataclasses
 import sys
 import threading
 import time
@@ -144,15 +145,57 @@ def test_boundary_rows_fixed():
     assert np.array_equal(~free, on_bnd)
 
 
-@pytest.mark.parametrize("n,p", [(3, p) for p in range(1, 7)] + [(16, 2)])
-def test_stiffness_matches_einsum(n, p):
+def jittered_space(n, p):
+    # interior vertices moved at random: every element has its own geometry
+    mesh = unit_square_mesh(n)
+    inner = ~mesh.boundary_vertex
+    vertices = mesh.vertices.copy()
+    vertices[inner] += np.random.default_rng(0).uniform(-0.2, 0.2, (inner.sum(), 2)) / n
+    return FESpace(dataclasses.replace(mesh, vertices=vertices), p)
+
+
+@pytest.mark.parametrize("n,p,jitter", [
+    *(pytest.param(n, p, False, id=f"{n}-{p}")
+      for n, p in [(3, p) for p in range(1, 7)] + [(16, 2), (24, 2)]),
+    pytest.param(5, 3, True, id="5-3-jittered")])
+def test_stiffness_matches_einsum(n, p, jitter):
     # the four-operand einsum the per-point kernel replaced, scattered by the
-    # same _scatter: the CSR arrays must be equal bit for bit
-    space = make_space(n, p)
+    # same _scatter: the CSR arrays must be equal bit for bit, with 2 geometry
+    # classes (n = 16), 72 (n = 24) or one per element (jittered)
+    space = jittered_space(n, p) if jitter else make_space(n, p)
     ed = space.ed_lin
     c = np.einsum("tde,tfe->tdf", ed.jinv, ed.jinv) * ed.detj[:, None, None]
     local = np.einsum("q,qid,tdf,qjf->tij", ed.w, ed.grads_ref, c, ed.grads_ref)
     ref = spacefe._scatter(space, local)
+    got = spacefe.assemble_stiffness(space)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
+
+
+@pytest.mark.parametrize("n,jitter,rows", [
+    pytest.param(16, False, 2, id="16"), pytest.param(24, False, 72, id="24"),
+    pytest.param(5, True, 50, id="5-jittered")])
+def test_stiffness_kernel_runs_once_per_geometry(monkeypatch, n, jitter, rows):
+    # the kernel sees one row per distinct (J^{-1}, det J), not one per element
+    seen = []
+    real = spacefe._element_stiffness
+
+    def spy(ed, jinv, detj):
+        seen.append(len(detj))
+        return real(ed, jinv, detj)
+
+    monkeypatch.setattr(spacefe, "_element_stiffness", spy)
+    space = jittered_space(n, 2) if jitter else make_space(n, 2)
+    spacefe.assemble_stiffness(space)
+    assert seen == [rows]
+
+
+def test_stiffness_exact_when_every_hash_collides(monkeypatch):
+    # a zero hash ties every row, so the sort may interleave the classes: they
+    # split, but each element still gets the matrix of its own geometry
+    space = make_space(24, 2)
+    ref = spacefe.assemble_stiffness(space)
+    monkeypatch.setattr(spacefe, "_MIX", np.zeros(5, dtype=np.uint64))
     got = spacefe.assemble_stiffness(space)
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
