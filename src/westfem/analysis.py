@@ -88,9 +88,7 @@ def energy_norm(sol: DiscreteSolution, c: float = 1.0, delta: float = 0.0) -> fl
     c2 = c * c
     svec = _sample_s(sol.q)
 
-    linf_dt = 0.0
-    linf_grad = 0.0
-    qt_grad_dt = 0.0
+    linf_dt = linf_grad = qt_grad_dt = 0.0
     # exact temporal Gram of Lt_j' on the unit slab
     g, w = gauss_interval(sol.q + 1)
     d1 = shifted_legendre_table(sol.q, g, nderiv=1)[1]
@@ -105,11 +103,9 @@ def energy_norm(sol: DiscreteSolution, c: float = 1.0, delta: float = 0.0) -> fl
         ku = (kk @ modal.T).T
         qt_grad_dt += float(np.einsum("ij,id,jd->", gram, modal, ku)) / tau
 
-    u_at_0 = sol.bp_values[0]
-    u_at_T = sol.bp_values[-1]
+    u_at_0, u_at_T = sol.bp_values[0], sol.bp_values[-1]
     total = (linf_dt + c2 * linf_grad + jump_functional(sol) ** 2
-             + c2 * float(u_at_T @ (kk @ u_at_T))
-             + c2 * float(u_at_0 @ (kk @ u_at_0))
+             + c2 * float(u_at_T @ (kk @ u_at_T)) + c2 * float(u_at_0 @ (kk @ u_at_0))
              + delta * qt_grad_dt)
     return float(np.sqrt(total))
 

@@ -142,10 +142,7 @@ def smooth_case(A: float = 1e-2, omega: float = np.pi / 3.0, ell: float = np.pi,
         u1=lambda x, y: A * omega * _sin_product(ell, x, y))
 
 
-def smooth_fast_case(**kw) -> ManufacturedCase:
-    kw.setdefault("omega", 4.5 * np.pi)
-    kw.setdefault("name", "smooth-fast")
-    return smooth_case(**kw)
+smooth_fast_case = partial(smooth_case, omega=4.5 * np.pi, name="smooth-fast")
 
 
 def standing_wave_case(k: float = 0.3, c: float = 1.0, delta: float = 0.0,
@@ -265,20 +262,15 @@ def verify_manufactured(case: ManufacturedCase) -> dict:
         # complex-step first derivative in time
         return np.imag(u(xx, yy, tt + 1e-20j)) / 1e-20
 
-    def d2(g, which):
-        if which == "t":
-            return (-g(x, y, t + 2 * h) + 16 * g(x, y, t + h) - 30 * g(x, y, t)
-                    + 16 * g(x, y, t - h) - g(x, y, t - 2 * h)) / (12 * h * h)
-        if which == "x":
-            return (-g(x + 2 * h, y, t) + 16 * g(x + h, y, t) - 30 * g(x, y, t)
-                    + 16 * g(x - h, y, t) - g(x - 2 * h, y, t)) / (12 * h * h)
-        return (-g(x, y + 2 * h, t) + 16 * g(x, y + h, t) - 30 * g(x, y, t)
-                + 16 * g(x, y - h, t) - g(x, y - 2 * h, t)) / (12 * h * h)
+    def d2(g, axis):
+        # g at the point shifted by m h along axis 0 (x), 1 (y) or 2 (t)
+        at = lambda m: g(*(v + m * h if i == axis else v for i, v in enumerate((x, y, t))))
+        return (-at(2) + 16 * at(1) - 30 * at(0) + 16 * at(-1) - at(-2)) / (12 * h * h)
 
     ut = dt_cs(x, y, t)
-    utt = d2(u, "t")
-    lap_u = d2(u, "x") + d2(u, "y")
-    lap_ut = d2(dt_cs, "x") + d2(dt_cs, "y")
+    utt = d2(u, 2)
+    lap_u = d2(u, 0) + d2(u, 1)
+    lap_ut = d2(dt_cs, 0) + d2(dt_cs, 1)
     uv = u(x, y, t)
     res = ((1.0 + case.k * uv) * utt + case.k * ut * ut
            - case.c ** 2 * lap_u - case.delta * lap_ut - case.f(x, y, t))

@@ -49,11 +49,11 @@ def _plain(v):
 
 
 def check_name(name):
-    """Reject an output name that would leave the output directory: one
-    that is not a string, is empty, `.` or `..`, or holds a path separator
-    (an absolute path does)."""
+    """Reject an output name that would leave the output directory or that
+    no file can have: one that is not a string, is empty, `.` or `..`, or
+    holds a path separator (an absolute path does) or a NUL character."""
     if (not isinstance(name, str) or name in ("", ".", "..")
-            or any(sep in name for sep in (os.sep, os.altsep) if sep)):
+            or any(sep in name for sep in (os.sep, os.altsep, "\0") if sep)):
         raise ValueError(f"name must be a plain file name, got {name!r}")
     return name
 
@@ -143,16 +143,28 @@ class StudyResult:
 
 def run_study(spec: StudySpec, threads: int = 1, strict: bool = False) -> StudyResult:
     """Execute the sweep; failures are recorded per entry unless strict."""
-    configs = spec.configs()
+    return run_scored_study(spec, None, threads, strict)[0]
 
+
+def run_scored_study(spec: StudySpec, score, threads: int = 1, strict: bool = False) -> tuple:
+    """`run_study`'s result and {sweep value: score(cfg, sol)} of the solves that
+    succeeded, a delta study's baseline under 0.0 (none if `score` is None)."""
+    configs = spec.configs()
+    scores = {}
     # each entry is scored on the thread that solved it, while other entries
     # solve; a delta entry is differenced against the inviscid baseline on
     # the identical discretization, so the solves share one space object
     shared_space = baseline = None
 
-    def work(cfg):
+    def solve(value, cfg):
+        out = run_problem(cfg, space=shared_space)
+        if score is not None:
+            scores[value] = score(cfg, out[2])
+        return out
+
+    def work(value, cfg):
         try:
-            _, _, sol, rep = run_problem(cfg, space=shared_space)
+            _, _, sol, rep = solve(value, cfg)
         except SolverFailure as exc:
             if strict:
                 raise
@@ -165,11 +177,11 @@ def run_study(spec: StudySpec, threads: int = 1, strict: bool = False) -> StudyR
         if spec.kind == "delta":
             shared_space = FESpace(unit_square_mesh(configs[0].n), configs[0].p)
             # the queue is FIFO: the baseline starts before any entry waits on it
-            baseline = pool.submit(run_problem, spec.config(0.0), shared_space)
+            baseline = pool.submit(solve, 0.0, spec.config(0.0))
         # the largest solves first, so the last task to start is a short one
         futures = [None] * len(configs)
         for i in sorted(range(len(configs)), key=lambda i: _work(configs[i]), reverse=True):
-            futures[i] = pool.submit(work, configs[i])
+            futures[i] = pool.submit(work, spec.sweep[i], configs[i])
         done, pending = wait(futures, return_when=FIRST_EXCEPTION)
         for f in pending:           # an entry raised (strict): stop the sweep
             f.cancel()
@@ -187,7 +199,7 @@ def run_study(spec: StudySpec, threads: int = 1, strict: bool = False) -> StudyR
             rows.append(entry)
 
     _fill_eoc(spec, rows)
-    return StudyResult(spec, rows, failures, _summary(spec, rows, failures))
+    return StudyResult(spec, rows, failures, _summary(spec, rows, failures)), scores
 
 
 def _work(cfg: ProblemConfig) -> int:

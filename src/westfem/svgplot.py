@@ -131,11 +131,7 @@ def plot(path, series, xlog, guides=(), xlabel="", title="") -> bool:
 
     _series_and_legend(out, series, ax, ay)
     out.append("</svg>")
-    _write(path, out)
-    return True
-
-
-def _write(path, lines):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(out) + "\n")
+    return True

@@ -11,6 +11,7 @@ subcommand prints it and sets the exit code.
 from __future__ import annotations
 
 import fnmatch
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -26,6 +27,7 @@ from .projection import combined_project
 from .refelem import reference_element, triangle_quadrature
 from .solver import slab_residuals, solve_westervelt
 from .spacefe import FESpace, interpolate, ritz_project
+from .studies import StudySpec, run_scored_study
 from .timefe import (TimePartition, TimePoly, gauss_interval, l2_project_time,
                      ptau_project, shifted_legendre_table, zeta)
 
@@ -101,16 +103,6 @@ class Checker:
 # -- shared helpers --------------------------------------------------
 
 
-def _l2_err(space: FESpace, coeffs, g) -> float:
-    ed = space.ed_err
-    return float(np.sqrt(ed.value_error(coeffs, ed.sample(g))))
-
-
-def _h1_err(space: FESpace, coeffs, grad_g) -> float:
-    ed = space.ed_err
-    return float(np.sqrt(ed.gradient_error(coeffs, ed.sample(grad_g))))
-
-
 def _sin_product():
     g = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     grad = lambda x, y: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
@@ -126,9 +118,9 @@ def _rate_checks(ck: Checker, approximate):
         eh, el, hs = [], [], []
         for n in (4, 8, 16):
             sp = FESpace(unit_square_mesh(n), p)
-            coeffs = approximate(sp, g, grad)
-            eh.append(_h1_err(sp, coeffs, grad))
-            el.append(_l2_err(sp, coeffs, g))
+            coeffs, ed = approximate(sp, g, grad), sp.ed_err
+            eh.append(float(np.sqrt(ed.gradient_error(coeffs, ed.sample(grad)))))
+            el.append(float(np.sqrt(ed.value_error(coeffs, ed.sample(g)))))
             hs.append(np.sqrt(2.0) / n)
         ck.close(f"p{p}-h1-rate", float(eoc(eh, hs)[-1]), p, 0.25)
         ck.close(f"p{p}-l2-rate", float(eoc(el, hs)[-1]), p + 1, 0.25)
@@ -515,25 +507,37 @@ def suite_manufactured_residual(ck: Checker):
             ck.check(f"{tag}no-exact-solution-guard", case.u is None, "data-only case rejected")
 
 
-def _criteria_configs():
-    """Solver configurations of the three convergence studies."""
-    return ([ProblemConfig(case=get_case("smooth"), n=n, p=p, q=3, tau=0.2)
-             for p in (1, 2) for n in (4, 8, 16, 32)]
-            + [ProblemConfig(case=get_case("smooth-fast"), n=5, p=5, q=q, tau=0.5 * 2.0 ** (-i))
-               for q in (2, 3) for i in (1, 2, 3, 4)]
-            + [ProblemConfig(case=get_case("standing-wave", delta=d), n=10, p=p, q=4, tau=0.1)
-               for p in (1, 2) for d in (0.0, 1e-2, 1e-4, 1e-6)])
+# acceptance criteria 1-3, the paper's h-, tau- and delta-experiments
+CRITERIA = {
+    "h": [StudySpec(kind="h", case="smooth", sweep=[4, 8, 16, 32],
+                    fixed={"p": p, "q": 3, "tau": 0.2}) for p in (1, 2)],
+    "tau": [StudySpec(kind="tau", case="smooth-fast", sweep=[0.5 * 2.0 ** -i for i in range(1, 5)],
+                      fixed={"n": 5, "p": 5, "q": q}) for q in (2, 3)],
+    "delta": [StudySpec(kind="delta", case="standing-wave", sweep=[1e-2, 1e-4, 1e-6],
+                        fixed={"n": 10, "p": p, "q": 4, "tau": 0.1}) for p in (1, 2)],
+}
+
+
+@functools.cache
+def criteria_studies(kind: str) -> list:
+    """(result, {sweep value: max slab residual}) of each CRITERIA[kind] study, solved
+    on two threads once per process, for galerkin-residual and the acceptance tests."""
+    return [run_scored_study(spec, lambda cfg, sol: max(slab_residuals(sol, cfg.case)),
+                             threads=2) for spec in CRITERIA[kind]]
 
 
 def suite_galerkin_residual(ck: Checker):
     worst, label = 0.0, ""
-    for cfg in _criteria_configs():
-        m = max(slab_residuals(run_problem(cfg)[2], cfg.case))
-        if m > worst:
-            worst, label = m, f"{cfg.case.name} n={cfg.n} p={cfg.p} q={cfg.q} tau={cfg.tau:g}"
-        # the delta study's entries differ only in a delta off the case default
-        d = "" if cfg.case.delta == get_case(cfg.case.name).delta else f"-delta{cfg.case.delta:g}"
-        ck.below(f"{cfg.case.name}-n{cfg.n}-p{cfg.p}-q{cfg.q}-tau{cfg.tau:g}{d}", m, 1e-9)
+    for kind in CRITERIA:
+        for result, residuals in criteria_studies(kind):
+            # the delta baseline first; a delta entry's label names its delta
+            for value in ([0.0] if kind == "delta" else []) + result.spec.sweep:
+                cfg, m = result.spec.config(value), residuals[value]
+                if m > worst:
+                    worst, label = m, (f"{cfg.case.name} n={cfg.n} p={cfg.p} "
+                                       f"q={cfg.q} tau={cfg.tau:g}")
+                d = f"-delta{value:g}" if kind == "delta" and value else ""
+                ck.below(f"{cfg.case.name}-n{cfg.n}-p{cfg.p}-q{cfg.q}-tau{cfg.tau:g}{d}", m, 1e-9)
     ck.check("worst-config", True, f"{worst:.3e} at {label}")
 
 

@@ -3,31 +3,55 @@
 Each test evaluates one criterion at its stated tolerance and prints a
 single PASS/FAIL line with the measured numbers before asserting, so the
 whole gate reads as six lines under ``pytest tests/test_acceptance.py -s``.
-Criterion 2's tau study also feeds `test_tau_rates`, which pins the rate
-pairing the scheme attains; the study runs once per q for both.
+Criteria 1-3 read their studies, `westfem.verify.CRITERIA`, from
+`verify.criteria_studies`, which solves each once per process for them and
+for the `galerkin-residual` suite; criterion 2's study also feeds
+`test_tau_rates`, which pins the rate pairing the scheme attains.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import westfem.studies as studies
 from westfem.analysis import err_linf_l2
 from westfem.cases import ProblemConfig, get_case, run_problem
 from westfem.errors import DegenerateCoefficient
-from westfem.studies import StudySpec, run_study
+from westfem.verify import criteria_studies, run_verify
 
 
 def _emit(cid, ok, detail):
     print(f"[{cid}] {'PASS' if ok else 'FAIL'} {detail}", flush=True)
 
 
+# first in the session, so the solves it counts are the ones that every
+# later reader of the memo (criteria 1-3, `verify_report`) reuses
+def test_criteria_configurations_solve_once(monkeypatch):
+    solved = []
+
+    def spy(cfg, *args, **kwargs):
+        solved.append(cfg)
+        return run_problem(cfg, *args, **kwargs)
+
+    criteria_studies.cache_clear()
+    monkeypatch.setattr(studies, "run_problem", spy)
+    for _ in range(2):
+        for kind in ("h", "tau", "delta"):
+            criteria_studies(kind)
+    assert run_verify(pattern="galerkin-residual").passed
+    # 8 h, 8 tau and 8 delta solves, the 2 delta baselines among them
+    assert len(solved) == 24
+    assert Counter(cfg.case.name for cfg in solved) == {
+        "smooth": 8, "smooth-fast": 8, "standing-wave": 8}
+
+
 def test_criterion_1_h_convergence():
-    # smooth case, q=3, tau=0.2, n in {4,8,16,32}, p in {1,2}: final-level
-    # EOC within +-0.25 of p+1 for err_dt and of p for err_grad
+    # CRITERIA["h"]: final-level EOC within +-0.25 of p+1 for err_dt and of
+    # p for err_grad
     checks, parts = [], []
-    for p in (1, 2):
-        spec = StudySpec(kind="h", case="smooth", sweep=[4, 8, 16, 32],
-                         fixed={"p": p, "q": 3, "tau": 0.2})
-        result = run_study(spec)
+    for result, _ in criteria_studies("h"):
+        p = result.spec.fixed["p"]
         assert not result.failures
         last = result.rows[-1]
         ok_dt = abs(last["eoc_dt"] - (p + 1)) <= 0.25
@@ -40,21 +64,12 @@ def test_criterion_1_h_convergence():
     assert all(checks), detail
 
 
-@pytest.fixture(scope="module")
-def tau_studies():
-    """Criterion 2's tau study, one result per q."""
-    taus = [0.5 * 2.0 ** -i for i in range(1, 5)]
-    return {q: run_study(StudySpec(kind="tau", case="smooth-fast", sweep=taus,
-                                   fixed={"n": 5, "p": 5, "q": q}))
-            for q in (2, 3)}
-
-
-def test_criterion_2_tau_convergence(tau_studies):
-    # smooth-fast case, p=5, n=5, tau = 0.5 * 2^-i for i=1..4, q in {2,3}:
-    # final-level EOC within +-0.3 of q+1 for err_dt and of q for err_grad
+def test_criterion_2_tau_convergence():
+    # CRITERIA["tau"]: final-level EOC within +-0.3 of q+1 for err_dt and of
+    # q for err_grad
     checks, parts = [], []
-    for q in (2, 3):
-        result = tau_studies[q]
+    for result, _ in criteria_studies("tau"):
+        q = result.spec.fixed["q"]
         assert not result.failures
         last = result.rows[-1]
         ok_dt = abs(last["eoc_dt"] - (q + 1)) <= 0.3
@@ -68,14 +83,10 @@ def test_criterion_2_tau_convergence(tau_studies):
 
 
 def test_criterion_3_delta_convergence():
-    # standing-wave case, p in {1,2}, q=4, n=10, tau=0.1,
-    # delta in {1e-2,1e-4,1e-6}: every EOC of both errors in [0.85, 1.15]
+    # CRITERIA["delta"]: every EOC of both errors in [0.85, 1.15]
     checks, parts = [], []
-    for p in (1, 2):
-        spec = StudySpec(kind="delta", case="standing-wave",
-                         sweep=[1e-2, 1e-4, 1e-6],
-                         fixed={"n": 10, "p": p, "q": 4, "tau": 0.1})
-        result = run_study(spec)
+    for result, _ in criteria_studies("delta"):
+        p = result.spec.fixed["p"]
         assert not result.failures
         rates = result.summary["eoc_dt"] + result.summary["eoc_grad"]
         checks.append(all(0.85 <= r <= 1.15 for r in rates))
@@ -140,8 +151,8 @@ def test_criterion_6_property_suites(verify_report):
 
 # the attained pairing, criterion 2's transposed (README "Tests")
 @pytest.mark.parametrize("q", [2, 3])
-def test_tau_rates(tau_studies, q):
-    result = tau_studies[q]
+def test_tau_rates(q):
+    result = next(r for r, _ in criteria_studies("tau") if r.spec.fixed["q"] == q)
     assert not result.failures
     last = result.rows[-1]
     assert abs(last["eoc_dt"] - q) <= 0.3, last

@@ -188,8 +188,8 @@ def test_bad_study_spec_exits_1(tmp_path, capsys, spec):
 
 
 @pytest.mark.parametrize("command", ["run", "study"])
-@pytest.mark.parametrize("name", ["absolute", "sub/run", ".", "..", ""],
-                         ids=["absolute", "separator", "dot", "dotdot", "empty"])
+@pytest.mark.parametrize("name", ["absolute", "sub/run", ".", "..", "", "a\0b"],
+                         ids=["absolute", "separator", "dot", "dotdot", "empty", "nul"])
 def test_name_outside_out_exits_1_before_solving(tmp_path, monkeypatch, capsys, command, name):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before validating the name")

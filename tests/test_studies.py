@@ -17,7 +17,8 @@ from westfem.analysis import err_linf_l2
 from westfem.cases import run_problem
 from westfem import svgplot
 from westfem.errors import SolverFailure
-from westfem.studies import (CSV_COLUMNS, StudySpec, run_study, write_csv,
+from westfem.solver import slab_residuals
+from westfem.studies import (CSV_COLUMNS, StudySpec, run_scored_study, run_study, write_csv,
                              write_study_outputs, write_summary)
 
 
@@ -441,3 +442,25 @@ def test_unserialisable_summary_leaves_no_file(tmp_path):
     with pytest.raises(TypeError):
         write_summary({"rows": 1, "bad": object()}, tmp_path / "s.json")
     assert not (tmp_path / "s.json").exists()
+
+
+def test_scored_residuals_equal_direct_solves():
+    # h, tau and delta entries and the delta baseline, two at a time on two
+    # threads; a delta study shares one space, a direct solve builds its own
+    def residual(cfg, sol):
+        return max(slab_residuals(sol, cfg.case))
+
+    for spec in (StudySpec(kind="h", case="smooth", sweep=[2, 3],
+                           fixed={"p": 2, "q": 2, "tau": 0.5}),
+                 StudySpec(kind="tau", case="smooth-fast", sweep=[0.5, 0.25],
+                           fixed={"n": 2, "p": 3, "q": 3}),
+                 StudySpec(kind="delta", case="standing-wave", sweep=[1e-2],
+                           fixed={"n": 3, "p": 2, "q": 2, "tau": 0.25})):
+        result, scores = run_scored_study(spec, residual, threads=2)
+        assert result.ok
+        values = ([0.0] if spec.kind == "delta" else []) + spec.sweep
+        assert sorted(scores) == sorted(values)
+        for value in values:
+            cfg = spec.config(value)
+            direct = residual(cfg, run_problem(cfg)[2])
+            assert repr(scores[value]) == repr(direct), (spec.kind, value)

@@ -10,10 +10,12 @@ per-slab iterations, increments and guard margins `coeff_min`, and, where
 the case has a closed-form solution, both error functionals (on the default
 rule and sampling, on the rule of degree 2p + 8 and at 3(2q + 3) samples
 per slab) and the data functional; then the rows of a small study of each
-kind, every cell except the timings; then, per space of GEOMETRY, the dofmap
-(free dofs, cell dofs, dof coordinates), the quadrature points of the three
-rules, `smooth`'s f, dtu and grad_u sampled on each rule at one time and at
-an array of times, point values of an interpolant, the CSR arrays of the
+kind, every cell except the timings, and for the studies of
+RESIDUAL_STUDIES the maximum slab residual of each solve (a delta study's
+baseline first); then, per space of GEOMETRY, the dofmap (free dofs, cell
+dofs, dof coordinates), the quadrature points of the three rules,
+`smooth`'s f, dtu and grad_u sampled on each rule at one time and at an
+array of times, point values of an interpolant, the CSR arrays of the
 global mass and stiffness matrices, and the CSC arrays of the slab
 operator (`smooth`'s c and delta, tau = 0.25) at each q of LHS_Q.
 `compare` checks every array of A against B with np.array_equal (NaN equal
@@ -52,6 +54,10 @@ STUDIES = {
 }
 
 TIMINGS = ("runtime_s", "runtime_err_s")
+
+# studies whose solves are also scored by max(slab_residuals), the
+# galerkin-residual suite's quantity, through `studies.run_scored_study`
+RESIDUAL_STUDIES = ("h", "tau", "delta")
 
 # (n, p) of the spaces whose geometry is dumped
 GEOMETRY = [(3, 1), (4, 2), (3, 5)]
@@ -118,17 +124,25 @@ def collect() -> dict:
     """Every dumped array by key, from the westfem on the import path."""
     import westfem as wf
 
+    def residual(cfg, sol):
+        return max(wf.slab_residuals(sol, cfg.case))
+
     out = {}
     for name, args in SOLVES.items():
         for key, arr in _solve(wf, *args).items():
             out[f"{name}/{key}"] = np.asarray(arr)
     for name, spec in STUDIES.items():
-        result = wf.run_study(wf.StudySpec(**spec))
+        spec = wf.StudySpec(**spec)
+        result, residuals = wf.studies.run_scored_study(
+            spec, residual if name in RESIDUAL_STUDIES else None)
         if result.failures:
             raise RuntimeError(f"{name} study failed: {result.failures}")
         for col in result.rows[0]:
             if col not in TIMINGS:
                 out[f"study-{name}/{col}"] = _column([r[col] for r in result.rows])
+        if residuals:
+            values = ([0.0] if spec.kind == "delta" else []) + spec.sweep
+            out[f"study-{name}/max_slab_residual"] = np.array([residuals[v] for v in values])
     for n, p in GEOMETRY:
         for key, arr in _geometry(wf, n, p).items():
             out[f"space-n{n}-p{p}/{key}"] = np.asarray(arr)
