@@ -75,18 +75,30 @@ def edge_table(mesh: Mesh):
     return key[first[order]], rank[inverse].reshape(-1, 3), count[order] == 1
 
 
+def affine_maps(mesh: Mesh) -> tuple:
+    """The affine map x = a + J (xi, eta) of every triangle (a, b, c): origins
+    a (n_triangles, 2) and Jacobians J = [b - a, c - a] (n_triangles, 2, 2),
+    by columns."""
+    va, vb, vc = mesh.vertices[mesh.triangles].transpose(1, 0, 2)
+    return va, np.stack([vb - va, vc - va], axis=2)
+
+
 def map_to_cells(mesh: Mesh, pts: np.ndarray) -> np.ndarray:
-    """Reference points (npts, 2) mapped into every triangle (a, b, c) by
-    x = a + xi (b - a) + eta (c - a); returns (n_triangles, npts, 2)."""
-    va, vb, vc = (mesh.vertices[mesh.triangles[:, k]] for k in range(3))
-    return (va[:, None, :]
-            + pts[None, :, 0, None] * (vb - va)[:, None, :]
-            + pts[None, :, 1, None] * (vc - va)[:, None, :])
+    """Reference points (npts, 2) mapped into every triangle by its affine
+    map; returns (n_triangles, npts, 2)."""
+    a, jac = affine_maps(mesh)
+    return (a[:, None, :]
+            + pts[None, :, 0, None] * jac[:, None, :, 0]
+            + pts[None, :, 1, None] * jac[:, None, :, 1])
 
 
 def locate(mesh: Mesh, x, y):
     """Triangle and reference coordinates of points of the closed unit
-    square; returns (tri, xi, eta), each of shape (npts,)."""
+    square; returns (tri, xi, eta), each of shape (npts,).  Only for a mesh
+    laid out as unit_square_mesh(mesh.n), whose cells it finds arithmetically."""
+    ref = unit_square_mesh(mesh.n)
+    if not all(np.array_equal(getattr(mesh, a), getattr(ref, a)) for a in ("vertices", "triangles")):
+        raise ValueError(f"cannot locate points on a mesh other than unit_square_mesh({mesh.n})")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     outside = ~((x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0))   # NaN included

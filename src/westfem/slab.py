@@ -11,8 +11,7 @@ The constant-coefficient left-hand side
 is a Kronecker combination of temporal coupling blocks with the spatial
 mass and stiffness matrices.  Those share one free-dof pattern, so block
 (a, b) is C_M[a, b] M + C_K[a, b] K on it, written straight into CSC with
-no zero block and no exact zero stored (scipy's sparse kron and add keep
-the zeros only of a pattern at least half dense, and so does this form).
+no zero block and no exact zero stored.
 The nonlinearity enters only on the right-hand side through the lagged
 terms of the fixed-point iteration.
 """
@@ -20,12 +19,11 @@ terms of the fixed-point iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .spacefe import ElementData, FESpace, ritz_project
+from .spacefe import FESpace, ritz_project
 from .timefe import TimePartition, trial_basis
 
 
@@ -40,14 +38,6 @@ def coupling_blocks(q: int, tau: float, c: float, delta: float):
     return cm, ck
 
 
-def _dense_pattern(space: FESpace) -> tuple:
-    """The free-dof pattern storing every entry, column by column: (indptr,
-    indices, take) with the identity `take`, then M_ff's and K_ff's data on it."""
-    n = space.n_free
-    dense = (m.toarray().ravel(order="F") for m in (space.mass_ff, space.stiffness_ff))
-    return (np.arange(0, n * n + 1, n), np.arange(n * n) % n, np.arange(n * n), *dense)
-
-
 def assemble_slab_lhs(space: FESpace, cm: np.ndarray, ck: np.ndarray) -> sp.csc_matrix:
     """kron(C_M, M_ff) + kron(C_K, K_ff), temporal-mode-major ordering, written
     straight into CSC on the free-dof pattern that M_ff and K_ff share.
@@ -56,19 +46,14 @@ def assemble_slab_lhs(space: FESpace, cm: np.ndarray, ck: np.ndarray) -> sp.csc_
     pattern, both gathered through its `take` from the global matrices' data:
     the products and the sum of scipy's sparse kron and add.  Each column
     lists its rows a-major, then in the pattern's order, which is the
-    canonical CSC order.  As in scipy's form, a block with cm[a, b] =
-    ck[a, b] = 0 is not stored, and exact zeros are dropped if any occur.  The
-    exception is a pattern at least half dense, which only the smallest meshes
-    have (n <= 4 at p = 1, n <= 2 at p = 2, n = 1 at higher p): scipy's kron
-    then stores dense blocks, zeros and all, and since the slab LU's round-off
-    follows the stored pattern, so does this form.  Temporaries are a few
+    canonical CSC order.  A block with cm[a, b] = ck[a, b] = 0 is not stored,
+    and exact zeros are dropped if any occur, so the operator holds no
+    explicit zero (scipy's kron stores dense blocks, zeros and all, for a
+    pattern at least half dense; this form does not).  Temporaries are a few
     arrays of the pattern's size, 1/q^2 of the result each."""
     ptr, rows, take = space._ff_pattern()
     mass, stiff = space.mass.data, space.stiffness.data
     q, nf = len(cm), space.n_free
-    half_dense = 0 < nf * nf <= 2 * len(take)
-    if half_dense:
-        ptr, rows, take, mass, stiff = _dense_pattern(space)
     take = take.astype(np.intp, copy=False)          # else each np.take makes an intp copy
     nnz = len(take)
     counts = np.diff(ptr)
@@ -99,7 +84,7 @@ def assemble_slab_lhs(space: FESpace, cm: np.ndarray, ck: np.ndarray) -> sp.csc_
         start += len(blocks) * nnz
     indptr[-1] = start
     lhs = sp.csc_matrix((data, indices, indptr), shape=(q * nf, q * nf))
-    if not half_dense and not data.all():
+    if not data.all():
         lhs.eliminate_zeros()
     return lhs
 
@@ -123,25 +108,18 @@ class SlabState:
 class SlabWorkspace:
     """The problem (a cases.ManufacturedCase: c, k, delta, f), its spatial
     quadrature data and the temporal trial basis, shared by RHS assembly,
-    residuals, and the guard.  The rules are read from the space on first
-    use, so a new workspace has the space build no element data."""
+    residuals, and the guard.  The quadrature rules are the space's
+    (`ws.space.ed_lin`, `ed_nl`), built there on first use, so a new
+    workspace has the space build no element data."""
 
     def __init__(self, space: FESpace, q: int, case):
         self.space = space
         self.case = case
         self.basis = trial_basis(q)
 
-    @cached_property
-    def ed_lin(self) -> ElementData:
-        return self.space.ed_lin
-
-    @cached_property
-    def ed_nl(self) -> ElementData:
-        return self.space.ed_nl
-
     def f_time_loads(self, t_start: float, tau: float) -> np.ndarray:
         """Spatial loads of f at the slab's temporal Gauss nodes; (2q, n_dof)."""
-        ed, times = self.ed_lin, t_start + tau * self.basis.nodes
+        ed, times = self.space.ed_lin, t_start + tau * self.basis.nodes
         return ed.assemble_loads(lambda cells: ed.sample(self.case.f, times, cells=cells))
 
     def time_integrate(self, loads: np.ndarray, tau: float) -> np.ndarray:
@@ -152,14 +130,14 @@ class SlabWorkspace:
 def first_state(ws: SlabWorkspace, partition: TimePartition) -> SlabState:
     """Slab 1: u(0) is the Ritz projection of case.u0 through case.u0_grad, and
     case.u1 enters weakly through ((1+k u0) u1, phi).  Zero data is None."""
-    space, case, ed = ws.space, ws.case, ws.ed_lin
+    space, case, ed = ws.space, ws.case, ws.space.ed_lin
     u0 = np.zeros(space.n_dof) if case.u0_grad is None else ritz_project(space, case.u0_grad)
     trace_load = np.zeros(space.n_dof)
     if case.u1 is not None:
         u0v = ed.sample(case.u0) if case.u0 is not None else 0.0
         trace_load = ed.assemble_pointwise_load((1.0 + case.k * u0v) * ed.sample(case.u1))
     t, tau = float(partition.breakpoints[0]), float(partition.taus[0])
-    return SlabState(1, t, tau, u0, ws.ed_nl.function_values(u0), trace_load,
+    return SlabState(1, t, tau, u0, ws.space.ed_nl.function_values(u0), trace_load,
                      ws.f_time_loads(t, tau))
 
 
@@ -167,7 +145,7 @@ def next_state(ws: SlabWorkspace, state: SlabState, modes: np.ndarray,
                partition: TimePartition) -> SlabState:
     """Slab n+1 from the solved modes (q, n_dof) of slab n = state.n: the
     start trace u(t_n) and the trace load ((1+k u(t_n)) dtu(t_n^-), phi)."""
-    b, ed, n = ws.basis, ws.ed_nl, state.n
+    b, ed, n = ws.basis, ws.space.ed_nl, state.n
     u_end = b.end_value(state.u_start, modes)
     uq = ed.function_values(u_end)
     vq = ed.function_values(b.rows(state.u_start, modes, 1.0, state.tau, deriv=1))
@@ -191,7 +169,7 @@ def _time_fields(ws: SlabWorkspace, state: SlabState, modal: np.ndarray):
     dt u(t_{n-1}^+) at the nonlinear quadrature points (nt, nq)."""
     b, tau = ws.basis, state.tau
     stacks = (b.values.T @ modal, (b.ds.T @ modal) / tau, (b.dss.T @ modal) / tau ** 2)
-    return stacks, ws.ed_nl.function_values((b.d0 @ modal) / tau)
+    return stacks, ws.space.ed_nl.function_values((b.d0 @ modal) / tau)
 
 
 def lagged_rhs(ws: SlabWorkspace, state: SlabState, modal: np.ndarray):
@@ -203,7 +181,7 @@ def lagged_rhs(ws: SlabWorkspace, state: SlabState, modal: np.ndarray):
     is monotone, so that minimum is exactly 1 + k min(u) for k >= 0 and
     1 + k max(u) for k < 0 (NaN if u has a NaN).
     """
-    ed, free, k = ws.ed_nl, ws.space.free_dofs, ws.case.k
+    ed, free, k = ws.space.ed_nl, ws.space.free_dofs, ws.case.k
     stacks, dtu0_q = _time_fields(ws, state, modal)
     extremes = []     # per block; np.min / np.max keep a NaN of any block
 
@@ -228,7 +206,7 @@ def nonlinear_residual(ws: SlabWorkspace, state: SlabState, modal: np.ndarray) -
     in modal form; assembled through the expanded identity
     dt((1+k u) dtu) = (1+k u) dttu + k (dtu)^2 rather than the lagged split.
     Returns (q, n_free)."""
-    b, ed, free, tau = ws.basis, ws.ed_nl, ws.space.free_dofs, state.tau
+    b, ed, free, tau = ws.basis, ws.space.ed_nl, ws.space.free_dofs, state.tau
     c, k, delta = ws.case.c, ws.case.k, ws.case.delta
     stacks, dtu0_q = _time_fields(ws, state, modal)
     loads = ed.assemble_loads(

@@ -2,6 +2,8 @@
 orientation, total area, boundary flags and mesh size are checked by the
 `mesh-integrity` verify suite; the ids below report its checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,3 +93,27 @@ def test_map_to_cells_takes_nodes_to_vertices():
 def test_locate_rejects_points_outside(x, y):
     with pytest.raises(ValueError, match=r"1 point\(s\) outside \[0, 1\]\^2"):
         locate(unit_square_mesh(2), [0.5, x], [0.5, y])
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_locate_needs_the_unit_square_layout(n):
+    # locate finds cells arithmetically, so any other mesh would get values
+    # for the wrong points: moved vertices, reordered or rotated triangles
+    mesh = unit_square_mesh(n)
+    inner = ~mesh.boundary_vertex
+    moved = mesh.vertices.copy()
+    moved[inner] += np.random.default_rng(0).uniform(-0.2, 0.2, (inner.sum(), 2)) / n
+    others = [dataclasses.replace(mesh, triangles=mesh.triangles[::-1].copy()),
+              dataclasses.replace(mesh, triangles=mesh.triangles[:, [1, 2, 0]])]
+    if inner.any():
+        others.append(dataclasses.replace(mesh, vertices=moved))
+    for other in others:
+        with pytest.raises(ValueError, match=rf"unit_square_mesh\({n}\)"):
+            locate(other, [0.5], [0.5])
+    # an equal mesh held in other arrays is located as before
+    twin = dataclasses.replace(mesh, vertices=mesh.vertices.copy(),
+                               triangles=mesh.triangles.copy())
+    pts = _probe_points(n)
+    for a, b in zip(locate(twin, pts[:, 0], pts[:, 1]), locate(mesh, pts[:, 0], pts[:, 1])):
+        assert np.array_equal(a, b)
+

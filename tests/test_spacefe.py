@@ -154,14 +154,21 @@ def jittered_space(n, p):
     return FESpace(dataclasses.replace(mesh, vertices=vertices), p)
 
 
+def test_evaluate_refuses_a_jittered_mesh():
+    space = jittered_space(4, 2)
+    with pytest.raises(ValueError, match="unit_square_mesh"):
+        evaluate(space, np.zeros(space.n_dof), np.array([0.5]), np.array([0.5]))
+
+
 @pytest.mark.parametrize("n,p,jitter", [
     *(pytest.param(n, p, False, id=f"{n}-{p}")
       for n, p in [(3, p) for p in range(1, 7)] + [(16, 2), (24, 2)]),
     pytest.param(5, 3, True, id="5-3-jittered")])
 def test_stiffness_matches_einsum(n, p, jitter):
-    # the four-operand einsum the per-point kernel replaced, scattered by the
-    # same _scatter: the CSR arrays must be equal bit for bit, with 2 geometry
-    # classes (n = 16), 72 (n = 24) or one per element (jittered)
+    # the four-operand einsum over every element, scattered by the same
+    # _scatter: the kernel run on one row per geometry class must give equal
+    # CSR arrays bit for bit, with 2 classes (n = 16), 72 (n = 24) or one per
+    # element (jittered)
     space = jittered_space(n, p) if jitter else make_space(n, p)
     ed = space.ed_lin
     c = np.einsum("tde,tfe->tdf", ed.jinv, ed.jinv) * ed.detj[:, None, None]

@@ -41,7 +41,7 @@ SOLVES = {
     "blocks": ("smooth", {}, 17, 1, 2, 0.25),   # 578 triangles: two element blocks
     "blocks-k-negative": ("smooth", {"k": -2.0}, 17, 2, 3, 0.25),
     "q5": ("smooth", {}, 4, 2, 5, 0.25),
-    "half-dense": ("smooth", {}, 4, 1, 3, 0.2),  # M_ff half dense: the LHS's dense blocks
+    "half-dense": ("smooth", {}, 4, 1, 3, 0.2),  # M_ff half dense, no zero stored in the LHS
 }
 
 STUDIES = {
@@ -59,8 +59,9 @@ TIMINGS = ("runtime_s", "runtime_err_s")
 # galerkin-residual suite's quantity, through `studies.run_scored_study`
 RESIDUAL_STUDIES = ("h", "tau", "delta")
 
-# (n, p) of the spaces whose geometry is dumped
-GEOMETRY = [(3, 1), (4, 2), (3, 5)]
+# (n, p) of the spaces whose geometry is dumped; n = 6 has 32 geometry
+# classes among its 72 elements, so the stiffness kernel runs on many rows
+GEOMETRY = [(3, 1), (4, 2), (3, 5), (6, 2)]
 
 # temporal degrees of the slab operators dumped per space of GEOMETRY
 LHS_Q = (2, 3, 5)
