@@ -166,8 +166,7 @@ def gaussian_pulse_case(a: float = 400.0, alpha: float = 5e4, sigma: float = 3e-
     """Exponentially decaying Gaussian source centered in the square, zero data."""
     def f(x, y, t):
         r2 = (x - 0.5) ** 2 + (y - 0.5) ** 2
-        return (a / np.sqrt(sigma) * np.exp(-alpha * t)
-                * np.exp(-r2 / (2.0 * sigma ** 2)) * np.ones(np.broadcast(x, y).shape))
+        return a / np.sqrt(sigma) * np.exp(-alpha * t) * np.exp(-r2 / (2.0 * sigma ** 2))
 
     return ManufacturedCase(name="gaussian-pulse", c=c, k=k, delta=delta, T=T,
                             f=f, tau_default=1e-5)

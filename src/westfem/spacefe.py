@@ -4,11 +4,15 @@ Global dof order: vertex dofs first (vertex id), then p-1 dofs per edge
 (ordered from the lower-numbered vertex), then per-triangle interior dofs.
 On the structured n x n mesh this gives exactly (p*n+1)^2 dofs.
 Homogeneous Dirichlet conditions are imposed by restriction to free dofs.
+
+A quadrature rule's reference tables depend on p and its degree alone: they
+are built once per process, read-only, and shared by every space of that p.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,6 +81,22 @@ class FESpace:
     def element_data(self, degree: int) -> "ElementData":
         return self._cached(("edata", degree), lambda: ElementData(self, degree))
 
+    def _geometry(self) -> tuple:
+        """det J (nt,) and J^{-1} (nt, 2, 2) of every element, read-only and
+        shared by the space's rules."""
+        def build():
+            jac = affine_maps(self.mesh)[1]              # (nt, 2, 2), columns
+            detj = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+            inv = np.empty_like(jac)
+            inv[:, 0, 0] = jac[:, 1, 1]
+            inv[:, 0, 1] = -jac[:, 0, 1]
+            inv[:, 1, 0] = -jac[:, 1, 0]
+            inv[:, 1, 1] = jac[:, 0, 0]
+            inv /= detj[:, None, None]
+            detj.flags.writeable = inv.flags.writeable = False
+            return detj, inv
+        return self._cached("geometry", build)
+
     # the three rules of the scheme; see ElementData for the terms each serves
     @property
     def ed_lin(self) -> "ElementData":
@@ -142,6 +162,22 @@ class FESpace:
         return self._solver("mass").solve(rhs_free)
 
 
+@lru_cache(maxsize=None)
+def _reference_tables(p: int, degree: int) -> tuple:
+    """Read-only tables of the degree-`degree` rule for degree-p elements:
+    points, weights, basis values and gradients, the gradients as a
+    contiguous (nl, nq, 2), and the reference mass; see ElementData."""
+    ref = reference_element(p)
+    pts, w = triangle_quadrature(degree)
+    vals = ref.eval_basis(pts)
+    grads_ref = ref.eval_basis_grad(pts)
+    grads_lqd = np.ascontiguousarray(grads_ref.transpose(1, 0, 2))
+    mass = np.einsum("q,qi,qj->ij", w, vals, vals)
+    for a in (vals, grads_ref, grads_lqd, mass):
+        a.flags.writeable = False
+    return pts, w, vals, grads_ref, grads_lqd, mass
+
+
 # elements per block of the load and error kernels: a block's fields and
 # temporaries stay in cache, and only the scatter or the final sum runs over
 # all elements, in the order it did unblocked
@@ -165,22 +201,28 @@ class ElementData:
     one sampled time per call) and assemble through the kernels below; the
     geometry and weights stay inside this module.
 
-    Lifetime rule: the sampling geometry `xy` and the weights `wdetj`, two
-    (nt, nq) fields, are built on first use under the space's lock, so every
-    caller and every thread still gets the same objects.  Mass, stiffness
-    and the slab operator never read them, and the solver factors its first
-    slab LU before anything samples data: that LU sets a solve's peak memory,
-    and every array alive beside it adds to the peak (there: the dofmap, this
-    rule's Jacobians, mass, stiffness, the free-dof pattern, the operator).
+    Lifetime rule: the reference tables (the weights w, `vals`, `grads_ref`,
+    `grads_lqd` and the reference mass `mass_ref`) are built once per
+    process for each (p, degree) by `_reference_tables`, read-only and shared
+    by every space of that p.  det J and J^{-1} are built once per space,
+    read-only and shared by its three rules.  The sampling geometry `xy` and
+    the weights `wdetj`, two (nt, nq) fields, are built on first use under
+    the space's lock, so every caller and every thread still gets the same
+    objects.  Mass, stiffness and the slab operator never read them, and the
+    solver factors its first slab LU before anything samples data: that LU
+    sets a solve's peak memory, and every array alive beside it adds to the
+    peak (there: the dofmap, the space's Jacobians, mass, stiffness, the
+    free-dof pattern, the operator).
 
     Layout rule: the kernels hand einsum operands laid out so that its loops
     are vectorised over the element axis instead of running over the short
     local axes.  For this the data keeps two contiguous copies next to the
-    natural layouts: `gdofs_lt` = cell_dofs.T (nl, nt) and `grads_lqd` =
-    grads_ref as (nl, nq, 2).  Reference gradients come out component-major
-    (2, nt, nq) and J^{-1} is applied by elementwise products.  The load and
-    error kernels walk blocks of BLOCK elements, so no caller holds a whole
-    (m, nt, nq) field.  The one pointwise load kernel, `assemble_loads`,
+    natural layouts: `gdofs_lt` = cell_dofs.T (nl, nt), one per rule, and
+    `grads_lqd` = grads_ref as (nl, nq, 2), a shared reference table.
+    Reference gradients come out component-major (2, nt, nq) and J^{-1} is
+    applied by elementwise products.  The load and error kernels walk blocks
+    of BLOCK elements, so no caller holds a whole (m, nt, nq) field.  The
+    one pointwise load kernel, `assemble_loads`,
     evaluates the FE fields of its coefficient stacks on a block, lets the
     caller form the integrand on them in place or sample data on the block's
     points, folds the weights into the integrand in Fortran order (the
@@ -190,8 +232,9 @@ class ElementData:
     scattered once.  The kernel never writes into the integrand, which may be
     a read-only broadcast from `sample`.  The gradient load is a loop over
     the quadrature points, each step vectorised over the elements.  The
-    stiffness matrix is the element-major einsum itself, run once per
-    geometry class: 2 rows at n = 64, 72 at n = 24.
+    stiffness matrix is the element-major einsum itself, with w folded into
+    the first gradient table, run once per geometry class: 2 rows at n = 64,
+    72 at n = 24.
 
     Exactness rule: einsum adds the rounded products of each output entry one
     at a time, in the order of its loops, so a kernel that forms the same
@@ -212,27 +255,14 @@ class ElementData:
     """
 
     def __init__(self, space: FESpace, degree: int):
-        mesh, ref = space.mesh, space.ref
-        pts, w = triangle_quadrature(degree)
-        self.w = w
-        self.vals = ref.eval_basis(pts)                  # (nq, nl)
-        self.grads_ref = ref.eval_basis_grad(pts)        # (nq, nl, 2)
-        self.grads_lqd = np.ascontiguousarray(self.grads_ref.transpose(1, 0, 2))
-
-        jac = affine_maps(mesh)[1]                       # (nt, 2, 2), columns
-        self.detj = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        inv = np.empty_like(jac)
-        inv[:, 0, 0] = jac[:, 1, 1]
-        inv[:, 0, 1] = -jac[:, 0, 1]
-        inv[:, 1, 0] = -jac[:, 1, 0]
-        inv[:, 1, 1] = jac[:, 0, 0]
-        inv /= self.detj[:, None, None]
-        self.jinv = inv                                  # J^{-1}
+        pts, self.w, self.vals, self.grads_ref, self.grads_lqd, self.mass_ref = \
+            _reference_tables(space.p, degree)
+        self.detj, self.jinv = space._geometry()         # det J, J^{-1}
         self.gdofs = space.cell_dofs
         self.gdofs_lt = np.ascontiguousarray(space.cell_dofs.T)
         self.n_dof = space.n_dof
         # built on first use, see `xy` and `wdetj`
-        self._mesh, self._pts, self._lock = mesh, pts, space._lock
+        self._mesh, self._pts, self._lock = space.mesh, pts, space._lock
         self._xy = self._wdetj = None
 
     @property
@@ -389,8 +419,7 @@ def _scatter(space: FESpace, local: np.ndarray) -> sp.csr_matrix:
 def assemble_mass(space: FESpace) -> sp.csr_matrix:
     """Global mass matrix (phi_j, phi_i)."""
     ed = space.ed_lin
-    m_ref = np.einsum("q,qi,qj->ij", ed.w, ed.vals, ed.vals)
-    local = ed.detj[:, None, None] * m_ref[None, :, :]
+    local = ed.detj[:, None, None] * ed.mass_ref[None, :, :]
     return _scatter(space, local)
 
 
@@ -417,9 +446,13 @@ def assemble_stiffness(space: FESpace) -> sp.csr_matrix:
 
 def _element_stiffness(ed: ElementData, jinv: np.ndarray, detj: np.ndarray) -> np.ndarray:
     """Element matrices (ne, nl, nl) of J^{-1} (ne, 2, 2) and det J (ne,) on ed's
-    tables, with C_e = det J J^{-1} J^{-T}."""
+    tables, with C_e = det J J^{-1} J^{-T}.  Equal bit for bit to
+    einsum("q,qid,tdf,qjf->tij", w, grads_ref, C, grads_ref): einsum multiplies
+    its operands left to right, so w folded into the first table forms the
+    same products, and its three-operand loop is about twice as fast."""
     c = np.einsum("tde,tfe->tdf", jinv, jinv) * detj[:, None, None]
-    return np.einsum("q,qid,tdf,qjf->tij", ed.w, ed.grads_ref, c, ed.grads_ref)
+    wgrads = ed.w[:, None, None] * ed.grads_ref
+    return np.einsum("qid,tdf,qjf->tij", wgrads, c, ed.grads_ref)
 
 
 def interpolate(space: FESpace, g) -> np.ndarray:

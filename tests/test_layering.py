@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "westfem"
-PRIVATE = {"xy", "wdetj", "detj", "jinv", "grads_ref", "grads_lqd", "gdofs", "gdofs_lt"}
+PRIVATE = {"xy", "wdetj", "detj", "jinv", "grads_ref", "grads_lqd", "gdofs", "gdofs_lt",
+           "mass_ref"}
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "spacefe.py")
 
 

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 import westfem.spacefe as spacefe
 from westfem.cases import ProblemConfig, get_case, run_problem
 from westfem.mesh import edge_table, unit_square_mesh
+from westfem.refelem import reference_element, triangle_quadrature
 from westfem.spacefe import FESpace, evaluate, interpolate
 
 
@@ -371,12 +372,36 @@ def test_vector_time_sample_stacks_scalar_time_samples(label):
             assert np.array_equal(many, np.stack([ed.sample(g, t) for t in ts]))
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("p", [1, 2, 5])
 def test_named_rules_are_the_cached_rules(p):
-    space = make_space(2, p)
-    assert space.ed_lin is space.element_data(2 * p + 2)
-    assert space.ed_nl is space.element_data(3 * p + 2)
-    assert space.ed_err is space.element_data(max(2 * p + 2, 12))
+    # each space caches its rules and one geometry, which the rules share; the
+    # reference tables are built once per process, read-only, and shared by
+    # every space of that p
+    space, other = make_space(2, p), make_space(3, p)
+    ref = reference_element(p)
+    rules = {"ed_lin": 2 * p + 2, "ed_nl": 3 * p + 2, "ed_err": max(2 * p + 2, 12)}
+    for name, degree in rules.items():
+        ed, twin = getattr(space, name), getattr(other, name)
+        assert ed is space.element_data(degree)
+        pts, w = triangle_quadrature(degree)
+        assert ed._pts is pts and ed.w is w
+        tables = (ed.vals, ed.grads_ref, ed.grads_lqd, ed.mass_ref)
+        assert all(a is b for a, b in zip(tables, (twin.vals, twin.grads_ref,
+                                                   twin.grads_lqd, twin.mass_ref)))
+        assert _same_bits(ed.vals, ref.eval_basis(pts))
+        assert _same_bits(ed.grads_ref, ref.eval_basis_grad(pts))
+        assert ed.grads_lqd.flags.c_contiguous
+        assert _same_bits(ed.grads_lqd, ed.grads_ref.transpose(1, 0, 2))
+        assert _same_bits(ed.mass_ref, np.einsum("q,qi,qj->ij", w, ed.vals, ed.vals))
+        assert ed.detj is space.ed_lin.detj and ed.jinv is space.ed_lin.jinv
+        assert ed.detj is not twin.detj
+        for a in (pts, w, *tables, ed.detj, ed.jinv):
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0.0
 
 
 def test_lazy_cache_builds_once_under_thread_contention(monkeypatch):
