@@ -82,8 +82,8 @@ class FESpace:
         return self._cached(("edata", degree), lambda: ElementData(self, degree))
 
     def _geometry(self) -> tuple:
-        """det J (nt,) and J^{-1} (nt, 2, 2) of every element, read-only and
-        shared by the space's rules."""
+        """det J (nt,), J^{-1} (nt, 2, 2) and a contiguous cell_dofs.T (nl, nt),
+        read-only and shared by the space's rules."""
         def build():
             jac = affine_maps(self.mesh)[1]              # (nt, 2, 2), columns
             detj = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
@@ -93,8 +93,9 @@ class FESpace:
             inv[:, 1, 0] = -jac[:, 1, 0]
             inv[:, 1, 1] = jac[:, 0, 0]
             inv /= detj[:, None, None]
-            detj.flags.writeable = inv.flags.writeable = False
-            return detj, inv
+            dofs_lt = np.ascontiguousarray(self.cell_dofs.T)
+            detj.flags.writeable = inv.flags.writeable = dofs_lt.flags.writeable = False
+            return detj, inv, dofs_lt
         return self._cached("geometry", build)
 
     # the three rules of the scheme; see ElementData for the terms each serves
@@ -204,11 +205,11 @@ class ElementData:
     Lifetime rule: the reference tables (the weights w, `vals`, `grads_ref`,
     `grads_lqd` and the reference mass `mass_ref`) are built once per
     process for each (p, degree) by `_reference_tables`, read-only and shared
-    by every space of that p.  det J and J^{-1} are built once per space,
-    read-only and shared by its three rules.  The sampling geometry `xy` and
-    the weights `wdetj`, two (nt, nq) fields, are built on first use under
-    the space's lock, so every caller and every thread still gets the same
-    objects.  Mass, stiffness and the slab operator never read them, and the
+    by every space of that p.  det J, J^{-1} and `gdofs_lt` are built once
+    per space, read-only and shared by its three rules.  The sampling
+    geometry `xy` and the weights `wdetj`, two (nt, nq) fields, are built on
+    first use under the space's lock, so every caller and every thread still
+    gets the same objects.  Mass, stiffness and the slab operator never read them, and the
     solver factors its first slab LU before anything samples data: that LU
     sets a solve's peak memory, and every array alive beside it adds to the
     peak (there: the dofmap, the space's Jacobians, mass, stiffness, the
@@ -217,7 +218,7 @@ class ElementData:
     Layout rule: the kernels hand einsum operands laid out so that its loops
     are vectorised over the element axis instead of running over the short
     local axes.  For this the data keeps two contiguous copies next to the
-    natural layouts: `gdofs_lt` = cell_dofs.T (nl, nt), one per rule, and
+    natural layouts: `gdofs_lt` = cell_dofs.T (nl, nt), one per space, and
     `grads_lqd` = grads_ref as (nl, nq, 2), a shared reference table.
     Reference gradients come out component-major (2, nt, nq) and J^{-1} is
     applied by elementwise products.  The load and error kernels walk blocks
@@ -257,9 +258,8 @@ class ElementData:
     def __init__(self, space: FESpace, degree: int):
         pts, self.w, self.vals, self.grads_ref, self.grads_lqd, self.mass_ref = \
             _reference_tables(space.p, degree)
-        self.detj, self.jinv = space._geometry()         # det J, J^{-1}
+        self.detj, self.jinv, self.gdofs_lt = space._geometry()
         self.gdofs = space.cell_dofs
-        self.gdofs_lt = np.ascontiguousarray(space.cell_dofs.T)
         self.n_dof = space.n_dof
         # built on first use, see `xy` and `wdetj`
         self._mesh, self._pts, self._lock = space.mesh, pts, space._lock

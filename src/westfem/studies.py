@@ -135,20 +135,17 @@ class StudyResult:
     rows: list
     failures: list
     summary: dict
+    scores: dict = field(default_factory=dict)   # see run_study
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-def run_study(spec: StudySpec, threads: int = 1, strict: bool = False) -> StudyResult:
-    """Execute the sweep; failures are recorded per entry unless strict."""
-    return run_scored_study(spec, None, threads, strict)[0]
-
-
-def run_scored_study(spec: StudySpec, score, threads: int = 1, strict: bool = False) -> tuple:
-    """`run_study`'s result and {sweep value: score(cfg, sol)} of the solves that
-    succeeded, a delta study's baseline under 0.0 (none if `score` is None)."""
+def run_study(spec: StudySpec, threads: int = 1, strict: bool = False, score=None) -> StudyResult:
+    """Execute the sweep; failures are recorded per entry unless strict.  `scores`
+    maps each solved sweep value to score(cfg, sol), a delta study's baseline
+    0.0 first, then in sweep order; it is empty without `score`."""
     configs = spec.configs()
     scores = {}
     # each entry is scored on the thread that solved it, while other entries
@@ -191,15 +188,14 @@ def run_scored_study(spec: StudySpec, score, threads: int = 1, strict: bool = Fa
         if baseline is not None:
             baseline.result()       # raises even when every entry failed
 
-    rows, failures = [], []
-    for i, (cfg, entry) in enumerate(zip(configs, entries)):
-        if isinstance(entry, str):
-            failures.append({"index": i, "config": config_cells(cfg), "error": entry})
-        else:
-            rows.append(entry)
+    rows = [entry for entry in entries if not isinstance(entry, str)]
+    failures = [{"index": i, "config": config_cells(cfg), "error": entry}
+                for i, (cfg, entry) in enumerate(zip(configs, entries)) if isinstance(entry, str)]
 
     _fill_eoc(spec, rows)
-    return StudyResult(spec, rows, failures, _summary(spec, rows, failures)), scores
+    order = ([0.0] if spec.kind == "delta" else []) + spec.sweep
+    return StudyResult(spec, rows, failures, _summary(spec, rows, failures),
+                       {v: scores[v] for v in order if v in scores})
 
 
 def _work(cfg: ProblemConfig) -> int:

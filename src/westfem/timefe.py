@@ -76,7 +76,9 @@ class TimePartition:
     def locate(self, t: float, side: str = "right") -> tuple[int, float]:
         """Slab index and local coordinate s in [0,1] containing t, clamped to
         [0, T]; at an interior breakpoint side="left" picks the slab ending
-        there and side="right" the one starting there."""
+        there and side="right" the one starting there.  A NaN t raises."""
+        if np.isnan(t):
+            raise ValueError("cannot locate a NaN time")
         n = int(np.searchsorted(self.breakpoints, t, side=side)) - 1
         n = min(max(n, 0), self.n_slabs - 1)
         s = (t - self.breakpoints[n]) / self.taus[n]

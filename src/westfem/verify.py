@@ -27,7 +27,7 @@ from .projection import combined_project
 from .refelem import reference_element, triangle_quadrature
 from .solver import slab_residuals, solve_westervelt
 from .spacefe import FESpace, interpolate, ritz_project
-from .studies import StudySpec, run_scored_study
+from .studies import StudySpec, run_study
 from .timefe import (TimePartition, TimePoly, gauss_interval, l2_project_time,
                      ptau_project, shifted_legendre_table, zeta)
 
@@ -520,19 +520,20 @@ CRITERIA = {
 
 @functools.cache
 def criteria_studies(kind: str) -> list:
-    """(result, {sweep value: max slab residual}) of each CRITERIA[kind] study, solved
+    """Each CRITERIA[kind] study, strict and scored by each solve's max slab residual,
     on two threads once per process, for galerkin-residual and the acceptance tests."""
-    return [run_scored_study(spec, lambda cfg, sol: max(slab_residuals(sol, cfg.case)),
-                             threads=2) for spec in CRITERIA[kind]]
+    return [run_study(spec, threads=2, strict=True,
+                      score=lambda cfg, sol: max(slab_residuals(sol, cfg.case)))
+            for spec in CRITERIA[kind]]
 
 
 def suite_galerkin_residual(ck: Checker):
     worst, label = 0.0, ""
     for kind in CRITERIA:
-        for result, residuals in criteria_studies(kind):
-            # the delta baseline first; a delta entry's label names its delta
-            for value in ([0.0] if kind == "delta" else []) + result.spec.sweep:
-                cfg, m = result.spec.config(value), residuals[value]
+        for result in criteria_studies(kind):
+            # a delta entry's label names its delta
+            for value, m in result.scores.items():
+                cfg = result.spec.config(value)
                 if m > worst:
                     worst, label = m, (f"{cfg.case.name} n={cfg.n} p={cfg.p} "
                                        f"q={cfg.q} tau={cfg.tau:g}")

@@ -5,8 +5,9 @@ single PASS/FAIL line with the measured numbers before asserting, so the
 whole gate reads as six lines under ``pytest tests/test_acceptance.py -s``.
 Criteria 1-3 read their studies, `westfem.verify.CRITERIA`, from
 `verify.criteria_studies`, which solves each once per process for them and
-for the `galerkin-residual` suite; criterion 2's study also feeds
-`test_tau_rates`, which pins the rate pairing the scheme attains.
+for the `galerkin-residual` suite: plain `StudyResult`s whose `scores` hold
+the suite's residuals.  Criterion 2's study also feeds `test_tau_rates`,
+which pins the rate pairing the scheme attains.
 """
 
 from collections import Counter
@@ -50,7 +51,7 @@ def test_criterion_1_h_convergence():
     # CRITERIA["h"]: final-level EOC within +-0.25 of p+1 for err_dt and of
     # p for err_grad
     checks, parts = [], []
-    for result, _ in criteria_studies("h"):
+    for result in criteria_studies("h"):
         p = result.spec.fixed["p"]
         assert not result.failures
         last = result.rows[-1]
@@ -68,7 +69,7 @@ def test_criterion_2_tau_convergence():
     # CRITERIA["tau"]: final-level EOC within +-0.3 of q+1 for err_dt and of
     # q for err_grad
     checks, parts = [], []
-    for result, _ in criteria_studies("tau"):
+    for result in criteria_studies("tau"):
         q = result.spec.fixed["q"]
         assert not result.failures
         last = result.rows[-1]
@@ -85,7 +86,7 @@ def test_criterion_2_tau_convergence():
 def test_criterion_3_delta_convergence():
     # CRITERIA["delta"]: every EOC of both errors in [0.85, 1.15]
     checks, parts = [], []
-    for result, _ in criteria_studies("delta"):
+    for result in criteria_studies("delta"):
         p = result.spec.fixed["p"]
         assert not result.failures
         rates = result.summary["eoc_dt"] + result.summary["eoc_grad"]
@@ -152,7 +153,7 @@ def test_criterion_6_property_suites(verify_report):
 # the attained pairing, criterion 2's transposed (README "Tests")
 @pytest.mark.parametrize("q", [2, 3])
 def test_tau_rates(q):
-    result = next(r for r, _ in criteria_studies("tau") if r.spec.fixed["q"] == q)
+    result = next(r for r in criteria_studies("tau") if r.spec.fixed["q"] == q)
     assert not result.failures
     last = result.rows[-1]
     assert abs(last["eoc_dt"] - q) <= 0.3, last

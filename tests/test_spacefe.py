@@ -404,6 +404,17 @@ def test_named_rules_are_the_cached_rules(p):
                 a.flat[0] = 0.0
 
 
+def test_rules_share_one_read_only_dofmap_layout():
+    # gdofs_lt is built once per space beside det J and J^{-1}
+    space = make_space(3, 2)
+    lt = space.ed_lin.gdofs_lt
+    assert lt is space.ed_nl.gdofs_lt is space.ed_err.gdofs_lt
+    assert lt is not make_space(3, 2).ed_lin.gdofs_lt
+    assert lt.flags.c_contiguous and np.array_equal(lt, space.cell_dofs.T)
+    with pytest.raises(ValueError, match="read-only"):
+        lt[0, 0] = 0
+
+
 def test_lazy_cache_builds_once_under_thread_contention(monkeypatch):
     # more threads than cores, a short switch interval and a slow build, so
     # that an unlocked check-then-build would let several threads build it

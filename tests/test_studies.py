@@ -18,8 +18,8 @@ from westfem.cases import run_problem
 from westfem import svgplot
 from westfem.errors import SolverFailure
 from westfem.solver import slab_residuals
-from westfem.studies import (CSV_COLUMNS, StudySpec, run_scored_study, run_study, write_csv,
-                             write_study_outputs, write_summary)
+from westfem.studies import (CSV_COLUMNS, StudySpec, run_study, write_csv, write_study_outputs,
+                             write_summary)
 
 
 def h_spec(**kw):
@@ -424,6 +424,7 @@ def test_entries_start_largest_first_and_rows_keep_sweep_order(monkeypatch):
     delta = run_study(delta_spec())
     assert [d for _, _, d in started] == [0.0, 1e-3, 1e-2]
     assert [r["delta"] for r in delta.rows] == [1e-3, 1e-2]
+    assert h.scores == tau.scores == delta.scores == {}   # no `score`, no scores
 
 
 def test_numpy_scalar_spec_writes_its_summary(tmp_path):
@@ -456,11 +457,57 @@ def test_scored_residuals_equal_direct_solves():
                            fixed={"n": 2, "p": 3, "q": 3}),
                  StudySpec(kind="delta", case="standing-wave", sweep=[1e-2],
                            fixed={"n": 3, "p": 2, "q": 2, "tau": 0.25})):
-        result, scores = run_scored_study(spec, residual, threads=2)
+        result = run_study(spec, threads=2, score=residual)
         assert result.ok
         values = ([0.0] if spec.kind == "delta" else []) + spec.sweep
-        assert sorted(scores) == sorted(values)
+        assert list(result.scores) == values
         for value in values:
             cfg = spec.config(value)
             direct = residual(cfg, run_problem(cfg)[2])
-            assert repr(scores[value]) == repr(direct), (spec.kind, value)
+            assert repr(result.scores[value]) == repr(direct), (spec.kind, value)
+
+
+@pytest.mark.parametrize("kind", ["h", "delta"])
+def test_scores_leave_out_a_failed_entry(monkeypatch, kind):
+    spec = (h_spec(sweep=[2, 3, 4]) if kind == "h"
+            else StudySpec(kind="delta", case="smooth", sweep=[1e-4, 1e-3, 1e-2],
+                           fixed={"n": 3, "p": 1, "q": 2, "tau": 0.25}))
+    bad = spec.sweep[1]
+    swept = (lambda cfg: cfg.n) if kind == "h" else (lambda cfg: cfg.case.delta)
+
+    def failing(cfg, *args, **kwargs):
+        if swept(cfg) == bad:
+            raise SolverFailure("forced")
+        return run_problem(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(studies, "run_problem", failing)
+    result = run_study(spec, threads=2, score=lambda cfg, sol: swept(cfg))
+    assert [f["index"] for f in result.failures] == [1]
+    assert result.failures[0]["error"] == "SolverFailure: forced"
+    kept = [v for v in spec.sweep if v != bad]
+    values = ([0.0] if kind == "delta" else []) + kept
+    assert list(result.scores) == values and list(result.scores.values()) == values
+    assert [r[{"h": "n", "delta": "delta"}[kind]] for r in result.rows] == kept
+
+
+def test_delta_scores_start_with_the_baseline_whatever_finishes_first(monkeypatch):
+    # three threads: the baseline solve finishes last, and the later sweep
+    # entry before the earlier one
+    delay = {0.0: 0.4, 1e-3: 0.2, 1e-2: 0.0}
+    scored = []
+
+    def slow(cfg, *args, **kwargs):
+        out = run_problem(cfg, *args, **kwargs)
+        time.sleep(delay[cfg.case.delta])
+        return out
+
+    def score(cfg, sol):
+        scored.append(cfg.case.delta)
+        return cfg.case.delta
+
+    monkeypatch.setattr(studies, "run_problem", slow)
+    result = run_study(delta_spec(), threads=3, score=score)
+    assert result.ok
+    assert scored == [1e-2, 1e-3, 0.0]
+    assert list(result.scores) == [0.0, 1e-3, 1e-2]
+    assert list(result.scores.values()) == [0.0, 1e-3, 1e-2]

@@ -6,6 +6,9 @@ suites; the ids below report their checks."""
 import numpy as np
 import pytest
 
+from westfem.mesh import unit_square_mesh
+from westfem.solution import DiscreteSolution
+from westfem.spacefe import FESpace
 from westfem.timefe import (TimePartition, TimePoly, gauss_interval, ptau_project,
                             shifted_legendre_table, trial_basis)
 
@@ -111,6 +114,19 @@ def test_locate():
     assert part.locate(1.0, side="left") == (1, 1.0)
     assert part.locate(1.7, side="left") == (1, 1.0)
     assert part.locate(1.7, side="right") == (1, 1.0)
+
+
+def test_nan_time_raises_instead_of_returning_nan():
+    # finite times outside [0, T] clamp (above); a NaN time has no slab
+    part = TimePartition.from_breakpoints([0.0, 0.4, 1.0])
+    space = FESpace(unit_square_mesh(2), 1)
+    sol = DiscreteSolution(space, part, 2, np.ones((2, 2, space.n_dof)), np.ones(space.n_dof))
+    poly = TimePoly(part, np.array([[1.0, 0.5], [2.0, 0.5]]))
+    for f in (part.locate, sol.value, sol.dt, poly, poly.derivative):
+        for side in ("left", "right"):
+            with pytest.raises(ValueError, match="NaN"):
+                f(float("nan"), side=side)
+    assert np.all(np.isfinite(sol.value(1.7))) and np.isfinite(poly(-0.3))
 
 
 @pytest.mark.parametrize("q", [1, 3, 5])

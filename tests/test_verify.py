@@ -3,7 +3,11 @@ test id, and the harness catches defects."""
 
 import pytest
 
+import westfem.studies as studies
 import westfem.verify as verify
+from westfem.cases import run_problem
+from westfem.errors import SolverFailure
+from westfem.studies import StudySpec
 from westfem.timefe import zeta
 from westfem.verify import SUITES, run_verify
 
@@ -63,3 +67,22 @@ def test_injected_zeta_defect_is_caught(monkeypatch, factor):
     monkeypatch.setattr(verify, "zeta", lambda q: factor * zeta(q))
     report = run_verify(pattern="jump-control-bounds")
     assert not report.passed
+
+
+# a criteria entry that does not solve has no residual: the suite fails
+def test_unsolved_criteria_entry_fails_galerkin_residual(monkeypatch):
+    def failing(cfg, *args, **kwargs):
+        if cfg.n == 3:
+            raise SolverFailure("forced")
+        return run_problem(cfg, *args, **kwargs)
+
+    small = StudySpec(kind="h", case="smooth", sweep=[2, 3], fixed={"p": 1, "q": 2, "tau": 0.5})
+    monkeypatch.setattr(verify, "CRITERIA", {"h": [small], "tau": [], "delta": []})
+    monkeypatch.setattr(studies, "run_problem", failing)
+    verify.criteria_studies.cache_clear()
+    try:
+        suite = run_verify(pattern="galerkin-residual").suites[0]
+    finally:
+        verify.criteria_studies.cache_clear()   # the next reader solves CRITERIA
+    assert not suite.passed
+    assert suite.error == "SolverFailure: forced"

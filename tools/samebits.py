@@ -21,6 +21,14 @@ operator (`smooth`'s c and delta, tau = 0.25) at each q of LHS_Q.
 `compare` checks every array of A against B with np.array_equal (NaN equal
 to NaN), prints each key that is missing or differs, and exits 1 if any
 does.
+
+When this tool's calls into westfem differ between two trees (say, one
+tree's `run_study` takes an argument the other's does not), dump each tree
+with its own copy of the tool; the key names stay the same:
+
+    mkdir old && git archive OLD | tar -x -C old
+    PYTHONPATH=old/src python old/tools/samebits.py dump old.npz
+    PYTHONPATH=src python tools/samebits.py dump new.npz
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ STUDIES = {
 TIMINGS = ("runtime_s", "runtime_err_s")
 
 # studies whose solves are also scored by max(slab_residuals), the
-# galerkin-residual suite's quantity, through `studies.run_scored_study`
+# galerkin-residual suite's quantity, through `run_study`'s `score`
 RESIDUAL_STUDIES = ("h", "tau", "delta")
 
 # (n, p) of the spaces whose geometry is dumped; n = 6 has 32 geometry
@@ -134,16 +142,14 @@ def collect() -> dict:
             out[f"{name}/{key}"] = np.asarray(arr)
     for name, spec in STUDIES.items():
         spec = wf.StudySpec(**spec)
-        result, residuals = wf.studies.run_scored_study(
-            spec, residual if name in RESIDUAL_STUDIES else None)
+        result = wf.studies.run_study(spec, score=residual if name in RESIDUAL_STUDIES else None)
         if result.failures:
             raise RuntimeError(f"{name} study failed: {result.failures}")
         for col in result.rows[0]:
             if col not in TIMINGS:
                 out[f"study-{name}/{col}"] = _column([r[col] for r in result.rows])
-        if residuals:
-            values = ([0.0] if spec.kind == "delta" else []) + spec.sweep
-            out[f"study-{name}/max_slab_residual"] = np.array([residuals[v] for v in values])
+        if result.scores:
+            out[f"study-{name}/max_slab_residual"] = np.array(list(result.scores.values()))
     for n, p in GEOMETRY:
         for key, arr in _geometry(wf, n, p).items():
             out[f"space-n{n}-p{p}/{key}"] = np.asarray(arr)
