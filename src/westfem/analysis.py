@@ -45,6 +45,9 @@ def err_linf_l2(sol: DiscreteSolution, ref, mode: str,
             worst = max(worst, float(np.einsum("sd,sd->s", d, (form @ d.T).T).max()))
         return float(np.sqrt(worst))
 
+    field = "dtu" if mode == "dt" else "grad_u"
+    if getattr(ref, field) is None:
+        raise ValueError(f"case {ref.name!r} has no closed-form {field} to compare with")
     # one sampled time at a time: the case's spatial factors are computed
     # once per rule, so no per-slab (2q+3, nt, nq) stack is worth its memory
     ed = space.ed_err if quad_degree is None else space.element_data(quad_degree)

@@ -10,8 +10,8 @@ The constant-coefficient left-hand side
 
 is a Kronecker combination of temporal coupling blocks with the spatial
 mass and stiffness matrices.  Those share one free-dof pattern, so block
-(a, b) is C_M[a, b] M + C_K[a, b] K on it, written straight into CSC with
-no zero block and no exact zero stored.
+(a, b) is C_M[a, b] M + C_K[a, b] K on it, written straight into CSC.  C_M
+has no zero entry, so all q^2 blocks are stored, and no exact zero is.
 The nonlinearity enters only on the right-hand side through the lagged
 terms of the fixed-point iteration.
 """
@@ -44,45 +44,35 @@ def assemble_slab_lhs(space: FESpace, cm: np.ndarray, ck: np.ndarray) -> sp.csc_
 
     Block (a, b) is cm[a, b] * M_ff.data + ck[a, b] * K_ff.data on that
     pattern, both gathered through its `take` from the global matrices' data:
-    the products and the sum of scipy's sparse kron and add.  Each column
-    lists its rows a-major, then in the pattern's order, which is the
-    canonical CSC order.  A block with cm[a, b] = ck[a, b] = 0 is not stored,
-    and exact zeros are dropped if any occur, so the operator holds no
-    explicit zero (scipy's kron stores dense blocks, zeros and all, for a
-    pattern at least half dense; this form does not).  Temporaries are a few
-    arrays of the pattern's size, 1/q^2 of the result each."""
+    the products and the sum of scipy's sparse kron and add.  All q^2 blocks
+    are stored, as C_M has no zero entry: column j of block column b lists
+    block a's column j from b q nnz + q ptr[j] + a counts[j], so its rows run
+    a-major, then in the pattern's order, which is the canonical CSC order.
+    Exact zeros (a caller's zero block among them) are dropped if any occur.
+    Temporaries are a few arrays of the pattern's size, 1/q^2 of the result each."""
     ptr, rows, take = space._ff_pattern()
     mass, stiff = space.mass.data, space.stiffness.data
     q, nf = len(cm), space.n_free
     take = take.astype(np.intp, copy=False)          # else each np.take makes an intp copy
-    nnz = len(take)
+    width = q * len(take)                            # entries of one block column
+    idx = np.int32 if q * width <= np.iinfo(np.int32).max else np.int64
+    indptr = np.append(np.add.outer(width * np.arange(q), q * ptr[:-1].astype(np.int64)),
+                       q * width).astype(idx)
     counts = np.diff(ptr)
-    ptr_e = np.repeat(ptr[:-1], counts)              # ptr[j] of each entry's column j
     step = np.repeat(counts, counts)
-    stored = (cm != 0) | (ck != 0)
-    size = int(stored.sum()) * nnz
-    idx = np.int32 if size <= np.iinfo(np.int32).max else np.int64
-    data, indices = np.empty(size), np.empty(size, dtype=idx)
-    indptr = np.empty(q * nf + 1, dtype=idx)
-    vals, term, pos = np.empty(nnz), np.empty(nnz), np.empty(nnz, dtype=np.int64)
-    start = 0
-    for b in range(q):
-        # column j of block column b: the stored blocks' column j, one after another
-        blocks = np.flatnonzero(stored[:, b])
-        indptr[b * nf:(b + 1) * nf] = start + len(blocks) * ptr[:-1].astype(np.int64)
-        np.multiply(ptr_e, len(blocks) - 1, out=pos, dtype=np.int64)
-        pos += np.arange(nnz, dtype=ptr.dtype)       # entry i of column j goes to start
-        pos += start                                 # + len(blocks) ptr[j] + (i - ptr[j])
-        for a in blocks:
+    pos = np.arange(len(take)) + np.repeat((q - 1) * ptr[:-1].astype(np.int64), counts)
+    data, indices = np.empty(q * width), np.empty(q * width, dtype=idx)
+    vals, term = np.empty(len(take)), np.empty(len(take))
+    for a in range(q):
+        indices[pos] = rows + idx(a * nf)
+        for b in range(q):
             # mode "clip" lets np.take write into `out` without a buffer
             np.multiply(np.take(mass, take, out=vals, mode="clip"), cm[a, b], out=vals)
             np.multiply(np.take(stiff, take, out=term, mode="clip"), ck[a, b], out=term)
             vals += term
-            data[pos] = vals
-            indices[pos] = rows + idx(a * nf)
-            pos += step
-        start += len(blocks) * nnz
-    indptr[-1] = start
+            data[b * width:][pos] = vals
+        pos += step
+    indices[width:].reshape(q - 1, width)[:] = indices[:width]   # the same in every block column
     lhs = sp.csc_matrix((data, indices, indptr), shape=(q * nf, q * nf))
     if not data.all():
         lhs.eliminate_zeros()

@@ -31,6 +31,7 @@ class DiscreteSolution:
         bp[0] = start_value
         for n in range(nsl):
             bp[n + 1] = self.basis.end_value(bp[n], self.modes[n])
+        bp.flags.writeable = False     # value() at a breakpoint returns a view of it
         self.bp_values = bp
 
     # -- slab-local access --------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
@@ -78,6 +79,8 @@ class StudySpec:
             raise ValueError(f"unknown study kind {self.kind!r}; one of {KINDS}")
         if not self.sweep:
             raise ValueError("sweep list is empty")
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in self.sweep):
+            raise ValueError(f"sweep values must be numbers, got {self.sweep}")
         s = np.asarray(self.sweep, dtype=float)
         if s.size > 1 and not (np.all(np.diff(s) > 0) or np.all(np.diff(s) < 0)):
             raise ValueError(f"sweep values must be strictly monotone, got {self.sweep}")
@@ -106,6 +109,8 @@ class StudySpec:
         unknown = set(d) - {"kind", "case", "sweep", "fixed", "case_overrides", "name"}
         if unknown:
             raise ValueError(f"unknown study keys {sorted(unknown)}")
+        if not isinstance(d.get("sweep", []), (list, tuple)):
+            raise ValueError(f"sweep must be a list of numbers, got {d['sweep']!r}")
         try:
             return cls(kind=d["kind"], case=d["case"], sweep=list(d["sweep"]),
                        fixed=dict(d.get("fixed", {})),

@@ -48,6 +48,14 @@ def test_err_linf_l2_modes(smooth_run):
         err_linf_l2(sol, case, "value")
 
 
+@pytest.mark.parametrize("label", ["gaussian-pulse", "standing-wave"])
+@pytest.mark.parametrize("mode,field", [("dt", "dtu"), ("grad", "grad_u")])
+def test_err_linf_l2_needs_a_closed_form_field(smooth_run, label, mode, field):
+    _, _, sol, _ = smooth_run
+    with pytest.raises(ValueError, match=f"{label}.*{field}"):
+        err_linf_l2(sol, get_case(label), mode)
+
+
 def _err_per_time(sol, case, mode):
     # reference: one exact-data sample per sampled time
     ed, svec = sol.space.ed_err, np.linspace(0.0, 1.0, 2 * sol.q + 3)

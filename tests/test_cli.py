@@ -177,10 +177,14 @@ def test_study_failure_exits_2(tmp_path):
      "fixed": {"n": 16, "p": 1, "q": 2, "tau": 0.25}},
     {"kind": "delta", "case": "smooth", "sweep": [1e-3, 1e-2],
      "fixed": {"n": 2, "p": 1, "q": 2, "tau": 0.25}, "case_overrides": {"delta": 0.3}},
+    {"kind": "h", "case": "smooth", "sweep": "24", "fixed": {"p": 1, "q": 2, "tau": 0.25}},
+    {"kind": "h", "case": "smooth", "sweep": ["8", "16"],
+     "fixed": {"p": 1, "q": 2, "tau": 0.25}},
+    {"kind": "h", "case": "smooth", "sweep": [True, 2], "fixed": {"p": 1, "q": 2, "tau": 0.25}},
 ], ids=["missing-sweep", "fixed-tau-zero", "fixed-unknown-key", "sweep-not-whole",
         "delta-zero", "delta-negative", "fixed-p-float", "fixed-tol",
         "override-not-a-number", "override-c-negative", "fixed-swept-n",
-        "override-swept-delta"])
+        "override-swept-delta", "sweep-string", "sweep-strings", "sweep-bool"])
 def test_bad_study_spec_exits_1(tmp_path, capsys, spec):
     path = write_json(tmp_path / "s.json", spec)
     assert cli.main(["study", path, "--out", str(tmp_path / "r")]) == 1

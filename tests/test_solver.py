@@ -232,6 +232,22 @@ def _blocks_with_zeros(space, q):
     return cm, ck
 
 
+@pytest.mark.parametrize("tau,c,delta", [(0.2, 1.0, 0.0), (0.2, 1.0, 1e-2),
+                                         (1e-3, 3.0, 0.5), (2.0, 0.1, 1e-4)])
+def test_every_temporal_block_is_stored(tau, c, delta):
+    # assemble_slab_lhs stores all q^2 blocks because C_M has no zero
+    # entry; a zero would still be dropped, through eliminate_zeros
+    space = FESpace(unit_square_mesh(2), 1)
+    nf = space.n_free
+    for q in range(2, 13):
+        cm, ck = coupling_blocks(q, tau, c, delta)
+        assert np.all(cm != 0), (q, np.argwhere(cm == 0))
+        lhs = assemble_slab_lhs(space, cm, ck)
+        for a in range(q):
+            for b in range(q):
+                assert lhs[a * nf:(a + 1) * nf, b * nf:(b + 1) * nf].nnz > 0, (q, a, b)
+
+
 @pytest.mark.parametrize("n,p", [(3, 1), (5, 1), (2, 2), (5, 2), (5, 5)])
 @pytest.mark.parametrize("q", [2, 3, 5])
 @pytest.mark.parametrize("blocks", [0.0, 1e-2, "zeros"])
@@ -369,6 +385,24 @@ def test_solution_continuous_across_slabs():
         left = sol.value(t_n, side="left")
         right = sol.value(t_n, side="right")
         assert np.array_equal(left, right)  # shared representation, exact
+
+
+def test_breakpoint_values_are_read_only():
+    # value() at a breakpoint is a view of bp_values, so a caller's in-place
+    # write must not reach the solution
+    cfg = ProblemConfig(case=get_case("smooth"), n=2, p=1, q=2, tau=0.25)
+    _, part, sol, _ = run_problem(cfg)
+    before = sol.bp_values.copy()
+    for t_n in part.breakpoints:
+        for v in (sol.value(t_n), sol.value(t_n, side="left")):
+            with pytest.raises(ValueError):
+                v *= 0.0
+    for n in range(part.n_slabs):
+        for s in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                sol.value_slab(n, s)[0] = 1.0
+    assert np.array_equal(sol.bp_values, before)
+    assert np.array_equal(sol.value(0.25), before[1])
 
 
 @pytest.mark.parametrize("bad", [1, 2])

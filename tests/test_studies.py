@@ -43,6 +43,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="sweep list is empty"):
             h_spec(sweep=[])
 
+    @pytest.mark.parametrize("sweep", [["8", "16"], [True, 2], [2, None]])
+    def test_non_number_sweep_rejected(self, sweep):
+        # int() would run n = 8 and 16 from strings, and n = 1 from True
+        with pytest.raises(ValueError, match="must be numbers"):
+            h_spec(sweep=sweep)
+
+    @pytest.mark.parametrize("sweep", ["24", 24, {"2": 4}], ids=["string", "int", "dict"])
+    def test_from_dict_rejects_a_sweep_that_is_not_a_list(self, sweep):
+        # a string would run n = 2 and 4, one entry per character
+        with pytest.raises(ValueError, match="sweep must be a list"):
+            StudySpec.from_dict({"kind": "h", "case": "smooth", "sweep": sweep,
+                                 "fixed": {"p": 1, "q": 2, "tau": 0.25}})
+
     def test_non_monotone_sweep(self):
         with pytest.raises(ValueError, match="monotone"):
             h_spec(sweep=[2, 8, 4])

@@ -72,7 +72,7 @@ RESIDUAL_STUDIES = ("h", "tau", "delta")
 GEOMETRY = [(3, 1), (4, 2), (3, 5), (6, 2)]
 
 # temporal degrees of the slab operators dumped per space of GEOMETRY
-LHS_Q = (2, 3, 5)
+LHS_Q = (2, 3, 4, 5)
 
 
 def _solve(wf, label, overrides, n, p, q, steps):
