@@ -10,7 +10,8 @@ an orthonormal Dubiner (PKD) modal basis and the node Vandermonde matrix.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import threading
+from functools import lru_cache, wraps
 
 import numpy as np
 from scipy.special import eval_jacobi, gammaln
@@ -18,6 +19,18 @@ from scipy.special import eval_jacobi, gammaln
 # blending exponents tuned per degree (standard warp-and-blend table)
 _ALPHA_OPT = (0.0, 0.0, 1.4152, 0.1001, 0.2751, 0.9800, 1.0999, 1.2832,
               1.3648, 1.4773, 1.4959, 1.5743, 1.5770, 1.6223, 1.6258)
+
+
+def cached_once(build):
+    """functools.cache that builds each key once per process: a thread that
+    misses waits for a racing build, so every caller gets the same object."""
+    cached, lock = lru_cache(maxsize=None)(build), threading.Lock()
+
+    @wraps(build)
+    def get(*args):
+        with lock:
+            return cached(*args)
+    return get
 
 
 def gauss_interval(npts: int):
@@ -28,7 +41,7 @@ def gauss_interval(npts: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-@lru_cache(maxsize=None)
+@cached_once
 def triangle_quadrature(degree: int):
     """Collapsed tensor Gauss rule on T, exact for polynomials of total
     degree <= `degree`.  Returns (points (nq,2), weights (nq,)); weights
@@ -39,14 +52,11 @@ def triangle_quadrature(degree: int):
     # Duffy map (xi, t) -> (xi, t*(1-xi)); Jacobian (1-xi) raises the
     # xi-degree by one, hence the +2.
     n = (degree + 2 + 1) // 2
-    gx, wx = gauss_interval(n)
-    gy, wy = gauss_interval(n)
-    xi = np.repeat(gx, n)
-    t = np.tile(gy, n)
-    pts = np.column_stack([xi, t * (1.0 - xi)])
-    wts = np.repeat(wx, n) * np.tile(wy, n) * (1.0 - xi)
-    pts.setflags(write=False)
-    wts.setflags(write=False)
+    g, wg = gauss_interval(n)
+    xi = np.repeat(g, n)
+    pts = np.column_stack([xi, np.tile(g, n) * (1.0 - xi)])
+    wts = np.repeat(wg, n) * np.tile(wg, n) * (1.0 - xi)
+    pts.flags.writeable = wts.flags.writeable = False
     return pts, wts
 
 
@@ -212,6 +222,6 @@ class ReferenceElement:
         return np.einsum("pjd,ji->pid", gg, self._vand_lu)
 
 
-@lru_cache(maxsize=None)
+@cached_once
 def reference_element(p: int) -> ReferenceElement:
     return ReferenceElement(p)

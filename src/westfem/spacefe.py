@@ -12,14 +12,13 @@ are built once per process, read-only, and shared by every space of that p.
 from __future__ import annotations
 
 import threading
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .mesh import Mesh, affine_maps, edge_table, locate, map_to_cells
-from .refelem import reference_element, triangle_quadrature
+from .refelem import cached_once, reference_element, triangle_quadrature
 
 
 class FESpace:
@@ -113,18 +112,11 @@ class FESpace:
 
     @property
     def mass(self) -> sp.csr_matrix:
-        return self._cached("mass", lambda: assemble_mass(self))
+        return self._cached("matrices", lambda: assemble_matrices(self))[0]
 
     @property
     def stiffness(self) -> sp.csr_matrix:
-        def build():             # on mass's indptr and indices, checked equal
-            mass, stiff = self.mass, assemble_stiffness(self)
-            for attr in ("indptr", "indices"):
-                if not np.array_equal(getattr(stiff, attr), getattr(mass, attr)):
-                    raise RuntimeError(f"stiffness and mass differ in {attr}")
-                setattr(stiff, attr, getattr(mass, attr))
-            return stiff
-        return self._cached("stiffness", build)
+        return self._cached("matrices", lambda: assemble_matrices(self))[1]
 
     def _ff_pattern(self):
         """The free-dof pattern: (indptr, indices) of the free-free block in
@@ -163,7 +155,7 @@ class FESpace:
         return self._solver("mass").solve(rhs_free)
 
 
-@lru_cache(maxsize=None)
+@cached_once
 def _reference_tables(p: int, degree: int) -> tuple:
     """Read-only tables of the degree-`degree` rule for degree-p elements:
     points, weights, basis values and gradients, the gradients as a
@@ -405,33 +397,20 @@ class ElementData:
                          for row in loc])
 
 
-def _scatter(space: FESpace, local: np.ndarray) -> sp.csr_matrix:
-    """Accumulate per-element matrices (nt, nl, nl) into a compact global CSR."""
-    gd = space.cell_dofs
-    nl = gd.shape[1]
-    # the int64 rows and cols die once the COO holds its int32 copies of them
-    mat = sp.coo_matrix((local.ravel(), (np.repeat(gd, nl, axis=1).ravel(),
-                                          np.tile(gd, (1, nl)).ravel())),
-                        shape=(space.n_dof, space.n_dof)).tocsr()
-    return mat.copy()               # tocsr leaves views of COO-sized buffers
-
-
-def assemble_mass(space: FESpace) -> sp.csr_matrix:
-    """Global mass matrix (phi_j, phi_i)."""
-    ed = space.ed_lin
-    local = ed.detj[:, None, None] * ed.mass_ref[None, :, :]
-    return _scatter(space, local)
-
-
 # powers of an odd constant: the multipliers of the hash that sorts the geometry
 _MIX = np.uint64(0x9E3779B97F4A7C15) ** np.arange(1, 6, dtype=np.uint64)
 
 
-def assemble_stiffness(space: FESpace) -> sp.csr_matrix:
-    """Global stiffness matrix (grad phi_j, grad phi_i), with the kernel run
-    once per geometry class: the elements whose J^{-1} and det J are equal bit
-    for bit.  Sorting on a hash of those bits puts a class's rows side by side
-    (a collision can only split a class).  Exact: the kernel is elementwise."""
+def assemble_matrices(space: FESpace) -> tuple:
+    """Global mass and stiffness matrices from one COO-to-CSR pass over one
+    complex array of element matrices, mass in its real part and stiffness in
+    its imaginary part; the two compact CSR share indptr and indices.  Each is
+    equal bit for bit to its own real pass: scipy's row sort compares column
+    indices only, so the order of each sum does not depend on the values, and
+    a complex sum adds the two parts apart.  The stiffness kernel runs once per
+    geometry class, the elements whose J^{-1} and det J are equal bit for bit,
+    put side by side by a sort on a hash of those bits (a collision can only
+    split a class); exact, as the kernel is elementwise."""
     ed = space.ed_lin
     bits = np.column_stack([ed.jinv.reshape(-1, 4), ed.detj]).view(np.uint64)
     order = np.argsort((bits ^ (bits >> np.uint64(32))) @ _MIX)
@@ -439,9 +418,20 @@ def assemble_stiffness(space: FESpace) -> sp.csr_matrix:
     cls = np.empty_like(order)
     cls[order] = np.cumsum(starts) - 1
     first = order[starts]
+    gd = space.cell_dofs.astype(np.int32)
+    nl = gd.shape[1]
+    local = np.empty((len(gd), nl, nl), dtype=complex)
+    np.multiply(ed.detj[:, None, None], ed.mass_ref, out=local.real)
     # the kernel's arrays are freed before the scatter allocates
-    local = _element_stiffness(ed, ed.jinv[first], ed.detj[first])[cls]
-    return _scatter(space, local)
+    local.imag = _element_stiffness(ed, ed.jinv[first], ed.detj[first])[cls]
+    mat = sp.coo_matrix((local.ravel(), (np.repeat(gd, nl, axis=1).ravel(),
+                                         np.tile(gd, (1, nl)).ravel())),
+                        shape=(space.n_dof, space.n_dof)).tocsr()
+    indices = mat.indices.copy()    # tocsr leaves views of COO-sized buffers
+    mass, stiffness = (sp.csr_matrix((part.copy(), indices, mat.indptr), shape=mat.shape)
+                       for part in (mat.data.real, mat.data.imag))
+    stiffness.indices = mass.indices    # each constructor takes its own view
+    return mass, stiffness
 
 
 def _element_stiffness(ed: ElementData, jinv: np.ndarray, detj: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import svgplot
 from .analysis import eoc, err_linf_l2
-from .cases import ProblemConfig, get_case, run_problem
+from .cases import ProblemConfig, _is_finite_real, get_case, run_problem
 from .errors import SolverFailure
 from .mesh import unit_square_mesh
 from .solution import DiscreteSolution
@@ -79,8 +78,8 @@ class StudySpec:
             raise ValueError(f"unknown study kind {self.kind!r}; one of {KINDS}")
         if not self.sweep:
             raise ValueError("sweep list is empty")
-        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in self.sweep):
-            raise ValueError(f"sweep values must be numbers, got {self.sweep}")
+        if not all(map(_is_finite_real, self.sweep)):
+            raise ValueError(f"sweep values must be numbers and finite, got {self.sweep}")
         s = np.asarray(self.sweep, dtype=float)
         if s.size > 1 and not (np.all(np.diff(s) > 0) or np.all(np.diff(s) < 0)):
             raise ValueError(f"sweep values must be strictly monotone, got {self.sweep}")

@@ -11,11 +11,10 @@ projection is coefficient truncation and modal coefficients decouple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .refelem import gauss_interval
+from .refelem import cached_once, gauss_interval
 
 
 # -- partitions -------------------------------------------------------
@@ -52,8 +51,8 @@ class TimePartition:
     @classmethod
     def uniform(cls, T: float, tau: float) -> "TimePartition":
         """Uniform partition; tau must divide T to within 1e-12."""
-        if tau <= 0 or T <= 0:
-            raise ValueError(f"need T, tau > 0, got T={T}, tau={tau}")
+        if not (0 < T < np.inf and 0 < tau < np.inf):
+            raise ValueError(f"need finite T, tau > 0, got T={T}, tau={tau}")
         nsl = int(round(T / tau))
         if nsl < 1 or abs(nsl * tau - T) > 1e-12 * max(1.0, abs(T)):
             raise ValueError(f"tau={tau} does not divide T={T}")
@@ -168,7 +167,7 @@ class TrialBasis:
         return u_start + out if deriv == 0 else out / tau
 
 
-@lru_cache(maxsize=None)
+@cached_once
 def trial_basis(q: int) -> TrialBasis:
     """The shared TrialBasis of degree q."""
     return TrialBasis(q)

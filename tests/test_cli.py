@@ -181,14 +181,20 @@ def test_study_failure_exits_2(tmp_path):
     {"kind": "h", "case": "smooth", "sweep": ["8", "16"],
      "fixed": {"p": 1, "q": 2, "tau": 0.25}},
     {"kind": "h", "case": "smooth", "sweep": [True, 2], "fixed": {"p": 1, "q": 2, "tau": 0.25}},
+    {"kind": "tau", "case": "smooth", "sweep": [float("nan")], "fixed": {"n": 2, "p": 1, "q": 2}},
+    {"kind": "h", "case": "smooth", "sweep": [float("inf")], "fixed": {"p": 1, "q": 2, "tau": 0.25}},
 ], ids=["missing-sweep", "fixed-tau-zero", "fixed-unknown-key", "sweep-not-whole",
         "delta-zero", "delta-negative", "fixed-p-float", "fixed-tol",
         "override-not-a-number", "override-c-negative", "fixed-swept-n",
-        "override-swept-delta", "sweep-string", "sweep-strings", "sweep-bool"])
+        "override-swept-delta", "sweep-string", "sweep-strings", "sweep-bool",
+        "sweep-nan", "sweep-inf"])
 def test_bad_study_spec_exits_1(tmp_path, capsys, spec):
-    path = write_json(tmp_path / "s.json", spec)
+    path = write_json(tmp_path / "s.json", spec)     # json writes NaN and Infinity
     assert cli.main(["study", path, "--out", str(tmp_path / "r")]) == 1
-    assert "error: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: " in err
+    if any(isinstance(v, float) and not np.isfinite(v) for v in spec.get("sweep", [])):
+        assert "must be numbers and finite" in err
 
 
 @pytest.mark.parametrize("command", ["run", "study"])

@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import westfem.refelem as refelem
 import westfem.spacefe as spacefe
+import westfem.timefe as timefe
 from westfem.cases import ProblemConfig, get_case, run_problem
 from westfem.mesh import edge_table, unit_square_mesh
 from westfem.refelem import reference_element, triangle_quadrature
 from westfem.spacefe import FESpace, evaluate, interpolate
+from westfem.timefe import trial_basis
 
 
 def make_space(n, p):
@@ -161,23 +164,54 @@ def test_evaluate_refuses_a_jittered_mesh():
         evaluate(space, np.zeros(space.n_dof), np.array([0.5]), np.array([0.5]))
 
 
+def _scatter(space, local):
+    """One real COO-to-CSR pass of element matrices (nt, nl, nl), as mass and
+    stiffness were each assembled before they shared one pass."""
+    gd = space.cell_dofs
+    nl = gd.shape[1]
+    mat = sp.coo_matrix((local.ravel(), (np.repeat(gd, nl, axis=1).ravel(),
+                                          np.tile(gd, (1, nl)).ravel())),
+                        shape=(space.n_dof, space.n_dof)).tocsr()
+    return mat.copy()
+
+
+def _same_csr(got, ref):
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(got, attr), getattr(ref, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in (1, 2, 3, 5, 8, 16, 24, 33, 64)
+                                 for p in range(1, 7) if n < 64 or p <= 3])
+def test_one_pass_equals_two_real_passes(n, p):
+    # the complex pass sums each matrix in the order of its own real pass:
+    # scipy's row sort compares column indices only.  The element stiffness
+    # matrices come from the kernel on each distinct geometry, which is exact
+    # (test_stiffness_matches_einsum)
+    space = make_space(n, p)
+    ed = space.ed_lin
+    bits = np.column_stack([ed.jinv.reshape(-1, 4), ed.detj]).view(np.uint64)
+    _, first, cls = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    stiff_local = spacefe._element_stiffness(ed, ed.jinv[first], ed.detj[first])[cls.ravel()]
+    mass, stiffness = spacefe.assemble_matrices(space)
+    _same_csr(mass, _scatter(space, ed.detj[:, None, None] * ed.mass_ref[None, :, :]))
+    _same_csr(stiffness, _scatter(space, stiff_local))
+    assert mass.indices is stiffness.indices and mass.indptr is stiffness.indptr
+
+
 @pytest.mark.parametrize("n,p,jitter", [
     *(pytest.param(n, p, False, id=f"{n}-{p}")
       for n, p in [(3, p) for p in range(1, 7)] + [(16, 2), (24, 2)]),
     pytest.param(5, 3, True, id="5-3-jittered")])
 def test_stiffness_matches_einsum(n, p, jitter):
-    # the four-operand einsum over every element, scattered by the same
-    # _scatter: the kernel run on one row per geometry class must give equal
-    # CSR arrays bit for bit, with 2 classes (n = 16), 72 (n = 24) or one per
-    # element (jittered)
+    # the four-operand einsum over every element, scattered alone: the kernel
+    # run on one row per geometry class must give equal CSR arrays bit for
+    # bit, with 2 classes (n = 16), 72 (n = 24) or one per element (jittered)
     space = jittered_space(n, p) if jitter else make_space(n, p)
     ed = space.ed_lin
     c = np.einsum("tde,tfe->tdf", ed.jinv, ed.jinv) * ed.detj[:, None, None]
     local = np.einsum("q,qid,tdf,qjf->tij", ed.w, ed.grads_ref, c, ed.grads_ref)
-    ref = spacefe._scatter(space, local)
-    got = spacefe.assemble_stiffness(space)
-    for attr in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
+    _same_csr(spacefe.assemble_matrices(space)[1], _scatter(space, local))
 
 
 @pytest.mark.parametrize("n,jitter,rows", [
@@ -194,7 +228,7 @@ def test_stiffness_kernel_runs_once_per_geometry(monkeypatch, n, jitter, rows):
 
     monkeypatch.setattr(spacefe, "_element_stiffness", spy)
     space = jittered_space(n, 2) if jitter else make_space(n, 2)
-    spacefe.assemble_stiffness(space)
+    spacefe.assemble_matrices(space)
     assert seen == [rows]
 
 
@@ -202,11 +236,9 @@ def test_stiffness_exact_when_every_hash_collides(monkeypatch):
     # a zero hash ties every row, so the sort may interleave the classes: they
     # split, but each element still gets the matrix of its own geometry
     space = make_space(24, 2)
-    ref = spacefe.assemble_stiffness(space)
+    ref = spacefe.assemble_matrices(space)[1]
     monkeypatch.setattr(spacefe, "_MIX", np.zeros(5, dtype=np.uint64))
-    got = spacefe.assemble_stiffness(space)
-    for attr in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
+    _same_csr(spacefe.assemble_matrices(space)[1], ref)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
@@ -238,8 +270,9 @@ def test_global_matrices_are_stored_once():
         owner = arr if arr.base is None else arr.base
         assert arr.size == mass.nnz and owner.nbytes == mass.nnz * arr.itemsize
     run_problem(ProblemConfig(case=get_case("smooth"), n=5, p=2, q=2, tau=0.5), space)
-    held = sorted(k for k, v in space._cache.items() if sp.issparse(v))
-    assert held == ["mass", "stiffness"]           # no free-free block kept
+    held = [k for k, v in space._cache.items()
+            if any(map(sp.issparse, v if isinstance(v, tuple) else (v,)))]
+    assert held == ["matrices"]                    # no free-free block kept
 
 
 def _kernel_cases():
@@ -404,6 +437,36 @@ def test_named_rules_are_the_cached_rules(p):
                 a.flat[0] = 0.0
 
 
+@pytest.mark.parametrize("get,key,owner,inner", [
+    pytest.param(reference_element, (11,), refelem, "ReferenceElement", id="reference_element"),
+    pytest.param(triangle_quadrature, (43,), refelem, "gauss_interval", id="triangle_quadrature"),
+    pytest.param(spacefe._reference_tables, (1, 41), spacefe, "triangle_quadrature",
+                 id="reference_tables"),
+    pytest.param(trial_basis, (19,), timefe, "TrialBasis", id="trial_basis")])
+def test_process_caches_build_once_under_threads(monkeypatch, get, key, owner, inner):
+    # a key no other test reads and a slow build, so that every thread misses
+    # the cache while the first build runs; all must get the one cached object
+    real = getattr(owner, inner)
+
+    def slow(*args):
+        time.sleep(0.02)
+        return real(*args)
+
+    monkeypatch.setattr(owner, inner, slow)
+    start, got = threading.Barrier(4), []
+
+    def work():
+        start.wait()
+        got.append(get(*key))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert len(got) == 4 and all(g is get(*key) for g in got)
+
+
 def test_rules_share_one_read_only_dofmap_layout():
     # gdofs_lt is built once per space beside det J and J^{-1}
     space = make_space(3, 2)
@@ -419,14 +482,14 @@ def test_lazy_cache_builds_once_under_thread_contention(monkeypatch):
     # more threads than cores, a short switch interval and a slow build, so
     # that an unlocked check-then-build would let several threads build it
     builds = []
-    real = spacefe.assemble_stiffness
+    real = spacefe.assemble_matrices
 
     def counted(space):
-        builds.append("stiffness")
+        builds.append("matrices")
         time.sleep(0.01)
         return real(space)
 
-    monkeypatch.setattr(spacefe, "assemble_stiffness", counted)
+    monkeypatch.setattr(spacefe, "assemble_matrices", counted)
     space = make_space(4, 2)
     real_map = spacefe.map_to_cells
 
@@ -456,7 +519,7 @@ def test_lazy_cache_builds_once_under_thread_contention(monkeypatch):
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    assert len(seen) == 8 and sorted(builds) == ["stiffness", "xy"]
+    assert len(seen) == 8 and sorted(builds) == ["matrices", "xy"]
     assert all(all(a is b for a, b in zip(s, seen[0])) for s in seen)
 
 

@@ -49,6 +49,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="must be numbers"):
             h_spec(sweep=sweep)
 
+    @pytest.mark.parametrize("kind,sweep", [("tau", [float("nan")]), ("h", [float("inf")]),
+                                            ("delta", [1e-2, float("inf")]),
+                                            ("h", [2, float("nan")])],
+                             ids=["tau-nan", "h-inf", "delta-inf", "h-nan-second"])
+    def test_non_finite_sweep_rejected(self, kind, sweep):
+        # tau = nan failed inside TimePartition.uniform, n = inf as not whole
+        fixed = {key: v for key, v in {"n": 2, "p": 1, "q": 2, "tau": 0.25}.items()
+                 if key != {"h": "n", "tau": "tau"}.get(kind)}
+        with pytest.raises(ValueError, match=r"finite, got \[.*(nan|inf)\]"):
+            StudySpec(kind=kind, case="smooth", sweep=sweep, fixed=fixed)
+
     @pytest.mark.parametrize("sweep", ["24", 24, {"2": 4}], ids=["string", "int", "dict"])
     def test_from_dict_rejects_a_sweep_that_is_not_a_list(self, sweep):
         # a string would run n = 2 and 4, one entry per character
@@ -404,14 +415,14 @@ def test_threaded_delta_study_builds_each_operator_once(monkeypatch):
             return build(*args)
         return wrapper
 
-    for name in ("ElementData", "assemble_mass", "assemble_stiffness", "splu"):
+    for name in ("ElementData", "assemble_matrices", "splu"):
         monkeypatch.setattr(spacefe, name, counted(name, getattr(spacefe, name)))
     # standing-wave starts from a Ritz projection, so the cached LU is used too
     spec = StudySpec(kind="delta", case="standing-wave", sweep=[1e-3, 1e-2],
                      fixed={"n": 3, "p": 1, "q": 2, "tau": 0.25})
     result = run_study(spec, threads=2)
     assert not result.failures
-    for name in ("assemble_mass", "assemble_stiffness", "splu"):
+    for name in ("assemble_matrices", "splu"):
         assert builds[(name,)] == 1, builds
     assert all(count == 1 for count in builds.values()), builds
 

@@ -28,6 +28,14 @@ def test_uniform_partition_rejects_non_divisor():
         TimePartition.uniform(1.0, -0.1)
 
 
+@pytest.mark.parametrize("T,tau", [(1.0, np.nan), (np.nan, 0.5), (np.inf, 0.5), (1.0, np.inf),
+                                   (np.inf, np.inf)])
+def test_uniform_partition_rejects_non_finite(T, tau):
+    # nan and inf failed in the conversion of T / tau to a slab count
+    with pytest.raises(ValueError, match="need finite T, tau > 0"):
+        TimePartition.uniform(T, tau)
+
+
 @pytest.mark.parametrize("bp", [[0.0, np.nan, 1.0], [0.0, 0.5, np.inf], [0.0, 1.0, np.nan],
                                 [0.1, 0.5, 1.0], [-0.5, 0.5, 1.0]],
                          ids=["nan", "inf", "nan-end", "late-start", "early-start"])
