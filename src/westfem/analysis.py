@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .solution import DiscreteSolution
-from .timefe import gauss_interval, shifted_legendre_table
+from .timefe import gauss_interval
 
 
 def _sample_s(q: int, samples_per_slab: int | None = None) -> np.ndarray:
@@ -92,10 +92,6 @@ def energy_norm(sol: DiscreteSolution, c: float = 1.0, delta: float = 0.0) -> fl
     svec = _sample_s(sol.q)
 
     linf_dt = linf_grad = qt_grad_dt = 0.0
-    # exact temporal Gram of Lt_j' on the unit slab
-    g, w = gauss_interval(sol.q + 1)
-    d1 = shifted_legendre_table(sol.q, g, nderiv=1)[1]
-    gram = (d1 * w) @ d1.T                       # (q+1, q+1)
     for n in range(sol.partition.n_slabs):
         tau = sol.partition.taus[n]
         dt_rows = sol.rows(n, svec, 1)
@@ -104,7 +100,7 @@ def energy_norm(sol: DiscreteSolution, c: float = 1.0, delta: float = 0.0) -> fl
         linf_grad = max(linf_grad, float(np.einsum("sd,sd->s", u_rows, (kk @ u_rows.T).T).max()))
         modal = sol.modal(n)
         ku = (kk @ modal.T).T
-        qt_grad_dt += float(np.einsum("ij,id,jd->", gram, modal, ku)) / tau
+        qt_grad_dt += float(np.einsum("ij,id,jd->", sol.basis.gram_ds, modal, ku)) / tau
 
     u_at_0, u_at_T = sol.bp_values[0], sol.bp_values[-1]
     total = (linf_dt + c2 * linf_grad + jump_functional(sol) ** 2

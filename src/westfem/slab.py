@@ -32,9 +32,7 @@ def coupling_blocks(q: int, tau: float, c: float, delta: float):
     start-anchored trial basis B_j = Lt_j - (-1)^j, j = 1..q."""
     b = trial_basis(q)
     cm = (b.a2[:, 1:] + np.outer(b.test_start, b.d0[1:])) / tau
-    a0b = b.a0[:, 1:].copy()
-    a0b[0, :] -= b.lt_start[1:]            # <Lt_0, B_j> correction
-    ck = c * c * tau * a0b + delta * b.a1[:, 1:]
+    ck = c * c * tau * b.a0_trial + delta * b.a1[:, 1:]
     return cm, ck
 
 

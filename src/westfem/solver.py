@@ -79,12 +79,12 @@ class SolverReport:
         return int(np.max(self.iterations)) if self.slabs else 0
 
 
-def _qn_norms(space, tau, *modals):
+def _qn_norms(ws, tau, *modals):
     """L2(Q_n) norms of full modal coefficients (mass-weighted), one mass
     product for all of them; each equals its own single-argument call."""
     rows = np.concatenate(modals)
-    weights = tau / (2.0 * np.arange(modals[0].shape[0]) + 1.0)
-    sq = np.einsum("jd,jd->j", rows, (space.mass @ rows.T).T).reshape(len(modals), -1)
+    weights = tau / ws.basis.inv_norm2
+    sq = np.einsum("jd,jd->j", rows, (ws.space.mass @ rows.T).T).reshape(len(modals), -1)
     return [float(np.sqrt(np.sum(weights * s))) for s in sq]
 
 
@@ -125,7 +125,7 @@ def solve_slab_fixed_point(fact: Factorization, ws: SlabWorkspace,
                                 slab=state.n, increment=info.increment, interval=interval)
         new_modes = embed(fact.solve((rhs_const + lag).ravel()))
         new_modal = ws.basis.to_modal(state.u_start, new_modes)
-        num, den = _qn_norms(space, tau, new_modal - modal, new_modal)
+        num, den = _qn_norms(ws, tau, new_modal - modal, new_modal)
         modes, modal = new_modes, new_modal
         info.iterations = it
         info.increment = num / den if den > 0 else num

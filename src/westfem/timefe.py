@@ -124,7 +124,8 @@ class TrialBasis:
     carried separately and continuity across slabs holds by representation.
     Test functions are Lt_0..Lt_{q-1}.  The tables use the 2q-point Gauss
     rule, exact for every test function times a trial function or one of its
-    derivatives.  Get instances through `trial_basis(q)`, which caches them.
+    derivatives, and for the product of two trial derivatives.  Get instances
+    through `trial_basis(q)`, which caches them.
     """
 
     def __init__(self, q: int):
@@ -144,6 +145,10 @@ class TrialBasis:
         self.a1 = self.test_w @ tab[1].T
         self.a2 = self.test_w @ tab[2].T
         self.d0 = shifted_legendre_table(q, np.array([0.0]), nderiv=1)[1, :, 0]
+        self.a0_trial = self.a0[:, 1:].copy()        # <Lt_i, B_j>, (q, q)
+        self.a0_trial[0, :] -= self.lt_start[1:]     # <Lt_0, B_j> = <Lt_0, Lt_j> - Lt_j(0)
+        self.inv_norm2 = 2.0 * np.arange(q + 1) + 1.0        # 1 / <Lt_j, Lt_j>
+        self.gram_ds = (self.ds * self.weights) @ self.ds.T  # <Lt_i', Lt_j'>, (q+1, q+1)
 
     def to_modal(self, u_start, modes) -> np.ndarray:
         """Full shifted-Legendre coefficients (q+1, ...) of the slab function

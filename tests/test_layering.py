@@ -3,7 +3,10 @@ geometry or weights of an ElementData, and no element_data call spells out
 a rule degree (callers use FESpace.ed_lin, ed_nl, ed_err).  The data a slab
 starts from is decided in slab.py alone: no other module constructs a
 SlabState.  The layout of the unit-square mesh stays in mesh.py: spacefe.py
-never reads the number of cells per side, mesh.n."""
+never reads the number of cells per side, mesh.n.  The temporal trial basis
+stays in timefe.py: no other module reads TrialBasis.lt_start or evaluates
+shifted Legendre polynomials, except verify.py, whose suites are independent
+oracles."""
 
 import ast
 from pathlib import Path
@@ -38,15 +41,17 @@ def test_no_quadrature_internals_outside_spacefe(path):
     assert _violations(path) == []
 
 
+def _called(node) -> str | None:
+    if isinstance(node, ast.Call):
+        f = node.func
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+    return None
+
+
 def _slab_state_calls(path: Path) -> list:
-    out = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Call):
-            f = node.func
-            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name == "SlabState":
-                out.append(f"line {node.lineno}: constructs SlabState")
-    return out
+    return [f"line {node.lineno}: constructs SlabState"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if _called(node) == "SlabState"]
 
 
 def test_slab_state_built_in_slab_py():
@@ -63,3 +68,24 @@ def test_spacefe_reads_no_cells_per_side():
     tree = ast.parse((SRC / "spacefe.py").read_text())
     assert [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "n"] == []
+
+
+def _trial_basis_reads(path: Path) -> list:
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr == "lt_start":
+            out.append(f"line {node.lineno}: reads .lt_start")
+        if _called(node) == "shifted_legendre_table":
+            out.append(f"line {node.lineno}: calls shifted_legendre_table")
+    return out
+
+
+def test_trial_basis_read_in_timefe():
+    assert _trial_basis_reads(SRC / "timefe.py")
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name not in ("timefe.py", "verify.py")],
+                         ids=lambda p: p.stem)
+def test_no_trial_basis_internals_outside_timefe(path):
+    assert _trial_basis_reads(path) == []

@@ -329,11 +329,28 @@ def test_first_slab_lu_comes_before_the_slab_data(monkeypatch):
 
 
 def test_stacked_qn_norms_equal_separate_calls():
-    space = FESpace(unit_square_mesh(5), 3)
+    ws = SlabWorkspace(FESpace(unit_square_mesh(5), 3), 3, get_case("smooth"))
     rng = np.random.default_rng(3)
-    a, b = rng.standard_normal((2, 4, space.n_dof))
-    pair = solver._qn_norms(space, 0.3, b - a, b)
-    assert pair == solver._qn_norms(space, 0.3, b - a) + solver._qn_norms(space, 0.3, b)
+    a, b = rng.standard_normal((2, 4, ws.space.n_dof))
+    pair = solver._qn_norms(ws, 0.3, b - a, b)
+    assert pair == solver._qn_norms(ws, 0.3, b - a) + solver._qn_norms(ws, 0.3, b)
+
+
+@pytest.mark.parametrize("q", range(2, 9))
+def test_trial_basis_facts_keep_their_inline_bits(q):
+    # the forms that coupling_blocks and _qn_norms spelled out before
+    # TrialBasis held them, which every benchmark number rests on
+    ws = SlabWorkspace(FESpace(unit_square_mesh(3), 2), q, get_case("smooth"))
+    b = ws.basis
+    a0b = b.a0[:, 1:].copy()
+    a0b[0, :] -= b.lt_start[1:]
+    assert np.array_equal(b.a0_trial, a0b)
+    modal = np.random.default_rng(q).standard_normal((q + 1, ws.space.n_dof))
+    sq = np.einsum("jd,jd->j", modal, (ws.space.mass @ modal.T).T)
+    for tau in (0.2, 0.25, 1e-4):
+        weights = tau / (2.0 * np.arange(q + 1) + 1.0)
+        assert np.array_equal(tau / b.inv_norm2, weights)
+        assert solver._qn_norms(ws, tau, modal) == [float(np.sqrt(np.sum(weights * sq)))]
 
 
 def test_solver_failure_names_slab_and_interval(monkeypatch):

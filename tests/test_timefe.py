@@ -199,6 +199,9 @@ def test_trial_basis(q):
     for got, d in ((b.a0, 0), (b.a1, 1), (b.a2, 2)):
         size = (np.abs(test) @ np.abs(tab[d]).T).max()
         assert np.max(np.abs(got - test @ tab[d].T)) <= 1e-14 * size
+    ds = tab[1] * w
+    size = (np.abs(ds) @ np.abs(tab[1]).T).max()
+    assert np.max(np.abs(b.gram_ds - ds @ tab[1].T)) <= 1e-14 * size
     assert np.array_equal(b.d0, shifted_legendre_table(q, np.array([0.0]), nderiv=1)[1, :, 0])
 
 
