@@ -148,9 +148,7 @@ smooth_fast_case = partial(smooth_case, omega=4.5 * np.pi, name="smooth-fast")
 def standing_wave_case(k: float = 0.3, c: float = 1.0, delta: float = 0.0,
                        T: float = 1.0) -> ManufacturedCase:
     """Unforced standing wave: u0 = 1e-2 sin(pi x) sin(pi y), u1 = sin(pi x) sin(pi y)."""
-    def S(x, y):
-        return np.sin(np.pi * x) * np.sin(np.pi * y)
-
+    S = partial(_sin_product, np.pi)
     return ManufacturedCase(
         name="standing-wave", c=c, k=k, delta=delta, T=T,
         f=lambda x, y, t: np.zeros(np.broadcast(x, y).shape),

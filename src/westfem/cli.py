@@ -83,11 +83,8 @@ def _cmd_run(args) -> int:
         ax = np.linspace(0.0, 1.0, m)
         xg, yg = np.meshgrid(ax, ax, indexing="ij")
         times = part.breakpoints if times is None else times
-        u = np.empty((len(times), m, m))
-        du = np.empty_like(u)
-        for i, t in enumerate(times):
-            u[i] = evaluate(space, sol.value(t), xg.ravel(), yg.ravel()).reshape(m, m)
-            du[i] = evaluate(space, sol.dt(t), xg.ravel(), yg.ravel()).reshape(m, m)
+        coeffs = np.stack([f(t) for f in (sol.value, sol.dt) for t in times])
+        u, du = evaluate(space, coeffs, xg.ravel(), yg.ravel()).reshape(2, len(times), m, m)
         snap_path = base.parent / (base.name + "-snapshots.npz")
         snap_path.parent.mkdir(parents=True, exist_ok=True)
         np.savez(snap_path, x=ax, y=ax, t=times, u=u, dtu=du)

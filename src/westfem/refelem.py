@@ -30,6 +30,7 @@ def cached_once(build):
     def get(*args):
         with lock:
             return cached(*args)
+    get.cache_clear = cached.cache_clear
     return get
 
 

@@ -145,14 +145,8 @@ class FESpace:
     def stiffness_ff(self):
         return self._ff("stiffness")
 
-    def _solver(self, name):
-        return self._cached((name, "lu"), lambda: splu(self._ff(name)))
-
     def solve_stiffness(self, rhs_free):
-        return self._solver("stiffness").solve(rhs_free)
-
-    def solve_mass(self, rhs_free):
-        return self._solver("mass").solve(rhs_free)
+        return self._cached("stiffness_lu", lambda: splu(self.stiffness_ff)).solve(rhs_free)
 
 
 @cached_once
@@ -464,9 +458,10 @@ def ritz_project(space: FESpace, grad_g) -> np.ndarray:
 
 
 def evaluate(space: FESpace, coeffs: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Point evaluation of a FE function; every point must lie in the closed
-    unit square."""
+    """Point values (npts,) of a FE function, or (m, npts) of a stack (m, n_dof),
+    at points in the closed unit square; a row's bits are those of its own
+    call, as the product is formed in C order and so summed in the same order."""
     tri, xi, eta = locate(space.mesh, x, y)
     vals = space.ref.eval_basis(np.column_stack([xi, eta]))  # (npts, nl)
-    local = coeffs[space.cell_dofs[tri]]                     # (npts, nl)
-    return np.sum(vals * local, axis=1)
+    local = coeffs[..., space.cell_dofs[tri]]                # (..., npts, nl)
+    return np.sum(np.multiply(vals, local, order="C"), axis=-1)

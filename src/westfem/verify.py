@@ -11,20 +11,20 @@ subcommand prints it and sets the exit code.
 from __future__ import annotations
 
 import fnmatch
-import functools
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import splu
 
 from .analysis import data_functional, energy_norm, eoc, err_linf_l2
 from .cases import (ManufacturedCase, ProblemConfig, get_case, run_problem,
                     smooth_case, verify_manufactured)
 from .mesh import mesh_size, unit_square_mesh
 from .projection import combined_project
-from .refelem import reference_element, triangle_quadrature
+from .refelem import cached_once, reference_element, triangle_quadrature
 from .solver import slab_residuals, solve_westervelt
 from .spacefe import FESpace, interpolate, ritz_project
 from .studies import StudySpec, run_study
@@ -43,14 +43,30 @@ class CheckResult:
 
 @dataclass
 class SuiteResult:
+    """One suite's labelled pass/fail checks, collected as the suite runs."""
     name: str
-    checks: list
-    runtime_s: float
+    checks: list = field(default_factory=list)
+    runtime_s: float = 0.0
     error: str | None = None
 
     @property
     def passed(self) -> bool:
         return self.error is None and all(c.passed for c in self.checks)
+
+    def check(self, label: str, ok, info: str = "") -> bool:
+        self.checks.append(CheckResult(label, bool(ok), info))
+        return bool(ok)
+
+    def close(self, label: str, value: float, target: float, tol: float) -> bool:
+        return self.check(label, abs(value - target) <= tol,
+                          f"{value:.8g} vs {target:.8g} (tol {tol:g})")
+
+    def below(self, label: str, value: float, bound: float) -> bool:
+        return self.check(label, value <= bound, f"{value:.3e} <= {bound:.3e}")
+
+    def within(self, label: str, value: float, lo: float, hi: float) -> bool:
+        return self.check(label, lo <= value <= hi,
+                          f"{value:.4g} in [{lo:.4g}, {hi:.4g}]")
 
 
 @dataclass
@@ -78,28 +94,6 @@ class VerifyReport:
         return lines
 
 
-class Checker:
-    """Collects labelled pass/fail checks for one suite."""
-
-    def __init__(self):
-        self.checks: list = []
-
-    def check(self, label: str, ok, info: str = "") -> bool:
-        self.checks.append(CheckResult(label, bool(ok), info))
-        return bool(ok)
-
-    def close(self, label: str, value: float, target: float, tol: float) -> bool:
-        return self.check(label, abs(value - target) <= tol,
-                          f"{value:.8g} vs {target:.8g} (tol {tol:g})")
-
-    def below(self, label: str, value: float, bound: float) -> bool:
-        return self.check(label, value <= bound, f"{value:.3e} <= {bound:.3e}")
-
-    def within(self, label: str, value: float, lo: float, hi: float) -> bool:
-        return self.check(label, lo <= value <= hi,
-                          f"{value:.4g} in [{lo:.4g}, {hi:.4g}]")
-
-
 # -- shared helpers --------------------------------------------------
 
 
@@ -110,7 +104,7 @@ def _sin_product():
     return g, grad
 
 
-def _rate_checks(ck: Checker, approximate):
+def _rate_checks(ck: SuiteResult, approximate):
     """H1 error ~ h^p and L2 error ~ h^{p+1} at p = 1, 2 of the coefficients
     approximate(space, g, grad_g) of the sine product."""
     g, grad = _sin_product()
@@ -181,7 +175,7 @@ def _polynomial_case() -> ManufacturedCase:
 # -- suites ----------------------------------------------------------
 
 
-def suite_quadrature(ck: Checker):
+def suite_quadrature(ck: SuiteResult):
     for deg in (1, 2, 4, 5, 7, 9, 10, 12, 14):
         pts, w = triangle_quadrature(deg)
         ck.check(f"deg{deg}-positive-weights", np.all(w > 0.0), f"min {w.min():.3e}")
@@ -201,7 +195,7 @@ def suite_quadrature(ck: Checker):
         ck.below(f"gauss{npts}-exactness", worst, 5e-15)
 
 
-def suite_reference_element(ck: Checker):
+def suite_reference_element(ck: SuiteResult):
     for p in (1, 2, 3, 5, 6):
         re = reference_element(p)
         pts, w = triangle_quadrature(2 * p + 2)
@@ -219,7 +213,7 @@ def suite_reference_element(ck: Checker):
         ck.below(f"p{p}-vandermonde-cond", reference_element(p).cond_vandermonde, cap)
 
 
-def suite_mesh_integrity(ck: Checker):
+def suite_mesh_integrity(ck: SuiteResult):
     for n in (1, 2, 3, 4, 5, 6, 7, 8, 10):
         mesh = unit_square_mesh(n)
         ck.check(f"n{n}-counts", len(mesh.vertices) == (n + 1) ** 2
@@ -242,7 +236,7 @@ def suite_mesh_integrity(ck: Checker):
                  f"{space.n_dof} dofs, {space.n_free} free")
 
 
-def suite_ritz_projection(ck: Checker):
+def suite_ritz_projection(ck: SuiteResult):
     _, grad = _sin_product()
     # orthogonality: stiffness residual of the projection vanishes on free dofs
     space = FESpace(unit_square_mesh(4), 2)
@@ -261,11 +255,11 @@ def suite_ritz_projection(ck: Checker):
     _rate_checks(ck, lambda sp, g, grad: ritz_project(sp, grad))
 
 
-def suite_interpolant_rate(ck: Checker):
+def suite_interpolant_rate(ck: SuiteResult):
     _rate_checks(ck, lambda sp, g, grad: interpolate(sp, g))
 
 
-def suite_inverse_trace_constants(ck: Checker):
+def suite_inverse_trace_constants(ck: SuiteResult):
     # spatial inverse estimate: h^2 lambda_max(M^-1 K) stays bounded under
     # refinement (power iteration with a fixed seeded start)
     rng = np.random.default_rng(7)
@@ -273,9 +267,10 @@ def suite_inverse_trace_constants(ck: Checker):
     for n in (4, 8, 16):
         space = FESpace(unit_square_mesh(n), 2)
         stiff, mass = space.stiffness_ff, space.mass_ff  # gathered on each read
+        mass_lu = splu(mass)
         x = rng.standard_normal(space.n_free)
         for _ in range(60):
-            x = space.solve_mass(stiff @ x)
+            x = mass_lu.solve(stiff @ x)
             x /= np.linalg.norm(x)
         lam = float((x @ (stiff @ x)) / (x @ (mass @ x)))
         scaled.append(lam * mesh_size(unit_square_mesh(n)) ** 2)
@@ -294,7 +289,7 @@ def suite_inverse_trace_constants(ck: Checker):
                  (q + 1) ** 2, 1e-10)
 
 
-def suite_jump_control_bounds(ck: Checker):
+def suite_jump_control_bounds(ck: SuiteResult):
     """Jump-control constant of the weighted test function construction.
 
     On each slab, the defect (Id - Pi_{q-1})(phi_n w) for test functions w
@@ -353,7 +348,7 @@ def suite_jump_control_bounds(ck: Checker):
         ck.below(f"q{q}-sup-bound", worst, 1.0)
 
 
-def suite_ptau_conditions(ck: Checker):
+def suite_ptau_conditions(ck: SuiteResult):
     part = TimePartition.from_breakpoints(np.array([0.0, 0.22, 0.5, 0.61, 1.0]))
     v = lambda t: np.sin(1.3 * t) + t ** 3 - 0.4 * t
     dv = lambda t: 1.3 * np.cos(1.3 * t) + 3.0 * t * t - 0.4
@@ -389,7 +384,7 @@ def suite_ptau_conditions(ck: Checker):
     ck.below("q2-cubic-image", worst, 1e-13)
 
 
-def suite_time_projection(ck: Checker):
+def suite_time_projection(ck: SuiteResult):
     part = TimePartition.from_breakpoints(np.array([0.0, 0.35, 0.8, 1.0]))
     rng = np.random.default_rng(11)
     for r in (1, 2, 3):
@@ -431,7 +426,7 @@ def suite_time_projection(ck: Checker):
         ck.close(f"r{r}-l2-rate", float(eoc(errs, [0.25, 0.125, 0.0625])[-1]), r + 1, 0.15)
 
 
-def suite_projection_rates(ck: Checker):
+def suite_projection_rates(ck: SuiteResult):
     case = get_case("smooth")
     p, q = 2, 3
     errs_dt, errs_g, hs = [], [], []
@@ -463,7 +458,7 @@ def suite_projection_rates(ck: Checker):
                  float(np.abs(proj.value(0.0) - exact).max()), 1e-11)
 
 
-def suite_polynomial_exactness(ck: Checker):
+def suite_polynomial_exactness(ck: SuiteResult):
     case = _polynomial_case()
     space = FESpace(unit_square_mesh(2), 6)
     # graded: slab lengths 0.25, 0.25, 0.1, 0.4 need three factorizations
@@ -494,7 +489,7 @@ def suite_polynomial_exactness(ck: Checker):
                      f"{rep.n_factorizations} factorizations, {rep.factorization_reuses} reuses")
 
 
-def suite_manufactured_residual(ck: Checker):
+def suite_manufactured_residual(ck: SuiteResult):
     for label in ("smooth", "smooth-fast"):
         rep = verify_manufactured(get_case(label))
         ck.below(f"{label}-residual", rep["residual_rel"], 1e-6)
@@ -518,7 +513,7 @@ CRITERIA = {
 }
 
 
-@functools.cache
+@cached_once
 def criteria_studies(kind: str) -> list:
     """Each CRITERIA[kind] study, strict and scored by each solve's max slab residual,
     on two threads once per process, for galerkin-residual and the acceptance tests."""
@@ -527,7 +522,7 @@ def criteria_studies(kind: str) -> list:
             for spec in CRITERIA[kind]]
 
 
-def suite_galerkin_residual(ck: Checker):
+def suite_galerkin_residual(ck: SuiteResult):
     worst, label = 0.0, ""
     for kind in CRITERIA:
         for result in criteria_studies(kind):
@@ -542,7 +537,7 @@ def suite_galerkin_residual(ck: Checker):
     ck.check("worst-config", True, f"{worst:.3e} at {label}")
 
 
-def suite_zero_data(ck: Checker):
+def suite_zero_data(ck: SuiteResult):
     case = smooth_case(A=0.0)
     for q, tau in ((3, 0.25), (2, 0.5)):
         tag = "" if q == 3 else f"q{q}-tau{tau:g}-"
@@ -555,7 +550,7 @@ def suite_zero_data(ck: Checker):
                  and err_linf_l2(sol, case, "grad") == 0.0, "err_dt = err_grad = 0")
 
 
-def suite_k0_single_iteration(ck: Checker):
+def suite_k0_single_iteration(ck: SuiteResult):
     for label in ("smooth", "standing-wave"):
         for q in (3, 2):
             cfg = ProblemConfig(case=get_case(label, k=0.0), n=4, p=2, q=q, tau=0.25)
@@ -564,7 +559,7 @@ def suite_k0_single_iteration(ck: Checker):
                      rep.iterations == [1] * part.n_slabs, f"iterations {rep.iterations}")
 
 
-def suite_energy_boundedness(ck: Checker):
+def suite_energy_boundedness(ck: SuiteResult):
     case = smooth_case(k=0.0)
     ratios = []
     for n, tau in ((4, 0.25), (8, 0.125), (16, 0.0625)):
@@ -576,7 +571,7 @@ def suite_energy_boundedness(ck: Checker):
     ck.check("ratios", True, " ".join(f"{r:.4f}" for r in ratios))
 
 
-def suite_sampling_convergence(ck: Checker):
+def suite_sampling_convergence(ck: SuiteResult):
     cfg = ProblemConfig(case=get_case("smooth-fast"), n=5, p=5, q=3, tau=0.125)
     space, part, sol, _ = run_problem(cfg)
     # the sampled max converges from below at second order in the spacing,
@@ -594,7 +589,7 @@ def suite_sampling_convergence(ck: Checker):
     ck.below("temporal-dominance", abs(e5 - e6) / e6, 5e-2)
 
 
-def suite_determinism(ck: Checker):
+def suite_determinism(ck: SuiteResult):
     for label, p, q in (("smooth", 2, 3), ("smooth-fast", 3, 2)):
         tag = "" if label == "smooth" else f"{label}-p{p}-q{q}-"
         cfg = ProblemConfig(case=get_case(label), n=4, p=p, q=q, tau=0.25)
@@ -610,44 +605,26 @@ def suite_determinism(ck: Checker):
         ck.check(f"{tag}continuity-by-representation", worst == 0.0, f"max gap {worst:.1e}")
 
 
-SUITES = {
-    "quadrature": suite_quadrature,
-    "reference-element": suite_reference_element,
-    "mesh-integrity": suite_mesh_integrity,
-    "ritz-projection": suite_ritz_projection,
-    "interpolant-rate": suite_interpolant_rate,
-    "inverse-trace-constants": suite_inverse_trace_constants,
-    "jump-control-bounds": suite_jump_control_bounds,
-    "ptau-conditions": suite_ptau_conditions,
-    "time-projection": suite_time_projection,
-    "projection-rates": suite_projection_rates,
-    "polynomial-exactness": suite_polynomial_exactness,
-    "manufactured-residual": suite_manufactured_residual,
-    "galerkin-residual": suite_galerkin_residual,
-    "zero-data": suite_zero_data,
-    "k0-single-iteration": suite_k0_single_iteration,
-    "energy-boundedness": suite_energy_boundedness,
-    "sampling-convergence": suite_sampling_convergence,
-    "determinism": suite_determinism,
-}
+# every suite_* function above, in definition order: suite_k0_single_iteration
+# runs as "k0-single-iteration"
+SUITES = {name[6:].replace("_", "-"): fn for name, fn in globals().items()
+          if name.startswith("suite_")}
 
 
 def run_verify(pattern: str | None = None) -> VerifyReport:
     """Run all (or pattern-matched) suites; never raises on suite failure."""
-    names = list(SUITES)
-    if pattern:
-        names = [n for n in names if fnmatch.fnmatch(n, pattern)]
-        if not names:
-            raise ValueError(f"no suite matches {pattern!r}; "
-                             f"available: {', '.join(SUITES)}")
+    names = fnmatch.filter(SUITES, pattern or "*")
+    if not names:
+        raise ValueError(f"no suite matches {pattern!r}; "
+                         f"available: {', '.join(SUITES)}")
     report = VerifyReport()
     for name in names:
-        ck = Checker()
+        suite = SuiteResult(name)
         t0 = time.perf_counter()
-        error = None
         try:
-            SUITES[name](ck)
+            SUITES[name](suite)
         except Exception as exc:  # pragma: no cover - defensive
-            error = f"{type(exc).__name__}: {exc}"
-        report.suites.append(SuiteResult(name, ck.checks, time.perf_counter() - t0, error))
+            suite.error = f"{type(exc).__name__}: {exc}"
+        suite.runtime_s = time.perf_counter() - t0
+        report.suites.append(suite)
     return report

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 import westfem.cli as cli
+import westfem.spacefe as spacefe
+from westfem.cases import ProblemConfig, run_problem
+from westfem.mesh import locate
 from westfem.studies import CSV_COLUMNS
 from westfem.verify import CheckResult, SuiteResult, VerifyReport
 
@@ -45,17 +48,26 @@ def test_run_row_matches_one_entry_h_study(run_config, tmp_path):
     assert strip(out / "demo.csv") == strip(out / "one.csv")
 
 
-def test_run_snapshots(tmp_path):
-    cfg = write_json(tmp_path / "r.json",
-                     {"case": "smooth", "n": 3, "p": 1, "q": 2, "tau": 0.5,
-                      "name": "snap", "snapshot_grid": 11,
-                      "snapshot_times": [0.0, 0.5, 1.0]})
-    out = tmp_path / "out"
-    assert cli.main(["run", cfg, "--out", str(out)]) == 0
-    z = np.load(out / "snap-snapshots.npz")
+# all snapshots in one `evaluate` call: the grid is located once, and each
+# field equals its own per-time call bit for bit (at p = 5 only if the
+# stacked product is summed in C order)
+def test_run_snapshots(tmp_path, monkeypatch):
+    conf = {"case": "smooth-fast", "n": 3, "p": 5, "q": 2, "tau": 0.25}
+    cfg = write_json(tmp_path / "r.json", {**conf, "name": "snap", "snapshot_grid": 11,
+                                           "snapshot_times": [0.0, 0.5, 1.0]})
+    located = []
+    monkeypatch.setattr(spacefe, "locate", lambda *args: located.append(1) or locate(*args))
+    assert cli.main(["run", cfg, "--out", str(tmp_path)]) == 0
+    assert len(located) == 1
+    z = np.load(tmp_path / "snap-snapshots.npz")
     assert z["u"].shape == (3, 11, 11)
     assert np.allclose(z["t"], [0.0, 0.5, 1.0])
-    assert np.all(np.isfinite(z["dtu"]))
+    space, _, sol, _ = run_problem(ProblemConfig.from_dict(conf))
+    xg, yg = np.meshgrid(z["x"], z["y"], indexing="ij")
+    for key, field in (("u", sol.value), ("dtu", sol.dt)):
+        per_time = [spacefe.evaluate(space, field(t), xg.ravel(), yg.ravel()).reshape(11, 11)
+                    for t in z["t"]]
+        assert np.array_equal(z[key], per_time)
 
 
 def test_env_var_sets_output_dir(run_config, tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 """tools/samebits.py: a dump compares equal to itself, NaN cells included,
-and a one-ulp change of one entry is named.  The dump is cut down to one
-solve, the h and delta studies and one space: `compare` is under test, not
-the set of configurations."""
+and a one-ulp change of one entry is named with its relative size.  The dump
+is cut down to one solve, the h and delta studies and one space: `compare` is
+under test, not the set of configurations."""
 
 import importlib.util
 from pathlib import Path
@@ -35,5 +35,7 @@ def test_dump_equals_itself_and_flags_one_ulp(tmp_path, monkeypatch):
     bad = samebits.compare(path, other)
     assert len(bad) == 2
     assert bad[0].startswith("smooth/modes: 1 of ")
+    # one ulp of x is between 2^-53 |x| and 2^-52 |x|, printed to 4 digits
+    assert 1.110e-16 <= float(bad[0].split("max |A - B|/|A| = ")[1]) <= 2.221e-16
     assert bad[1] == "study-delta/n_dof: only in A"
     assert samebits.main(["compare", str(path), str(other)]) == 1

@@ -1,6 +1,9 @@
 """Self-verification harness: every suite passes, each reported under its own
 test id, and the harness catches defects."""
 
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 import westfem.studies as studies
@@ -25,6 +28,10 @@ def test_suite_passes(verify_report, name):
 
 
 def test_suite_inventory(verify_report):
+    # SUITES is every suite_* function, in definition order, under its hyphenated name
+    defined = sorted((fn for name, fn in vars(verify).items() if name.startswith("suite_")),
+                     key=lambda fn: fn.__code__.co_firstlineno)
+    assert list(SUITES.items()) == [(fn.__name__[6:].replace("_", "-"), fn) for fn in defined]
     assert len(SUITES) >= 12
     assert [s.name for s in verify_report.suites] == list(SUITES)
 
@@ -86,3 +93,22 @@ def test_unsolved_criteria_entry_fails_galerkin_residual(monkeypatch):
         verify.criteria_studies.cache_clear()   # the next reader solves CRITERIA
     assert not suite.passed
     assert suite.error == "SolverFailure: forced"
+
+
+# threads that race for one criteria kind get the one object of one build,
+# and cache_clear empties the memo
+def test_criteria_studies_build_once_across_threads(monkeypatch):
+    builds = []
+    spec = StudySpec(kind="h", case="smooth", sweep=[2], fixed={"p": 1, "q": 2, "tau": 0.5})
+    monkeypatch.setattr(verify, "CRITERIA", {"h": [spec]})
+    monkeypatch.setattr(verify, "run_study",
+                        lambda spec, **kwargs: builds.append(spec) or time.sleep(0.2) or object())
+    verify.criteria_studies.cache_clear()
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(verify.criteria_studies, "hhhh"))
+        assert len(builds) == 1 and all(g is got[0] for g in got)
+        verify.criteria_studies.cache_clear()
+        assert verify.criteria_studies("h") is not got[0] and len(builds) == 2
+    finally:
+        verify.criteria_studies.cache_clear()   # the next reader solves CRITERIA

@@ -19,8 +19,9 @@ array of times, point values of an interpolant, the CSR arrays of the
 global mass and stiffness matrices, and the CSC arrays of the slab
 operator (`smooth`'s c and delta, tau = 0.25) at each q of LHS_Q.
 `compare` checks every array of A against B with np.array_equal (NaN equal
-to NaN), prints each key that is missing or differs, and exits 1 if any
-does.
+to NaN), prints each key that is missing or differs, with a differing float
+array's largest |A - B| and largest |A - B|/|A| (its drift), and exits 1 if
+any does.
 
 When this tool's calls into westfem differ between two trees (say, one
 tree's `run_study` takes an argument the other's does not), dump each tree
@@ -177,9 +178,12 @@ def mismatches(a: dict, b: dict) -> list:
         elif not np.array_equal(x, y, equal_nan=numeric):
             if numeric:
                 diff = ~((x == y) | (np.isnan(x) & np.isnan(y)))
-                worst = np.nanmax(np.abs(x - y)[diff]) if diff.any() else np.nan
+                gap = np.abs(x - y)[diff]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    rel = gap / np.abs(x[diff])
                 out.append(f"{key}: {int(diff.sum())} of {x.size} entries differ, "
-                           f"max |A - B| = {worst:.3e}")
+                           f"max |A - B| = {np.nanmax(gap):.3e}, "
+                           f"max |A - B|/|A| = {np.nanmax(rel):.3e}")
             else:
                 out.append(f"{key}: {x.tolist()} != {y.tolist()}")
     return out
