@@ -40,17 +40,18 @@ def _out_dir(args) -> Path:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"{path} must hold a JSON object")
+    return data
 
 
 def _cmd_run(args) -> int:
     cfg_dict = _load_json(args.config)
-    if not isinstance(cfg_dict, dict):
-        raise UsageError(f"{args.config} must hold a JSON object")
     name = cfg_dict.pop("name", None)
     snap_grid = cfg_dict.pop("snapshot_grid", None)
     snap_times = cfg_dict.pop("snapshot_times", None)
@@ -103,8 +104,6 @@ def _cmd_study(args) -> int:
     if args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
     spec_dict = _load_json(args.spec)
-    if not isinstance(spec_dict, dict):
-        raise UsageError(f"{args.spec} must hold a JSON object")
     try:
         spec = StudySpec.from_dict(spec_dict)
     except (TypeError, ValueError) as exc:

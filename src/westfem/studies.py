@@ -151,55 +151,51 @@ def run_study(spec: StudySpec, threads: int = 1, strict: bool = False, score=Non
     maps each solved sweep value to score(cfg, sol), a delta study's baseline
     0.0 first, then in sweep order; it is empty without `score`."""
     configs = spec.configs()
-    scores = {}
-    # each entry is scored on the thread that solved it, while other entries
-    # solve; a delta entry is differenced against the inviscid baseline on
-    # the identical discretization, so the solves share one space object
-    shared_space = baseline = None
+    # a delta entry is differenced against the inviscid baseline on the
+    # identical discretization, so the solves share one space object
+    shared_space = (FESpace(unit_square_mesh(configs[0].n), configs[0].p)
+                    if spec.kind == "delta" else None)
 
-    def solve(value, cfg):
-        out = run_problem(cfg, space=shared_space)
-        if score is not None:
-            scores[value] = score(cfg, out[2])
-        return out
+    def solve(cfg):
+        # scored on the thread that solved it, while other entries solve
+        _, _, sol, rep = run_problem(cfg, space=shared_space)
+        return sol, rep, None if score is None else score(cfg, sol)
 
-    def work(value, cfg):
+    def work(cfg, baseline):
         try:
-            _, _, sol, rep = solve(value, cfg)
+            sol, rep, s = solve(cfg)
         except SolverFailure as exc:
             if strict:
                 raise
-            return f"{type(exc).__name__}: {exc}"
+            return f"{type(exc).__name__}: {exc}", None
         # outside the try: a baseline failure is the study's, never an entry's
-        ref = cfg.case if baseline is None else baseline.result()[2]
-        return result_row(cfg, sol, rep, ref)
+        ref = cfg.case if baseline is None else baseline.result()[0]
+        return result_row(cfg, sol, rep, ref), s
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        if spec.kind == "delta":
-            shared_space = FESpace(unit_square_mesh(configs[0].n), configs[0].p)
-            # the queue is FIFO: the baseline starts before any entry waits on it
-            baseline = pool.submit(solve, 0.0, spec.config(0.0))
+        # the queue is FIFO: the baseline starts before any entry waits on it
+        baseline = pool.submit(solve, spec.config(0.0)) if spec.kind == "delta" else None
         # the largest solves first, so the last task to start is a short one
         futures = [None] * len(configs)
         for i in sorted(range(len(configs)), key=lambda i: _work(configs[i]), reverse=True):
-            futures[i] = pool.submit(work, spec.sweep[i], configs[i])
+            futures[i] = pool.submit(work, configs[i], baseline)
         done, pending = wait(futures, return_when=FIRST_EXCEPTION)
         for f in pending:           # an entry raised (strict): stop the sweep
             f.cancel()
         for f in done:              # raise that entry's error, not a cancellation
             f.result()
         entries = [f.result() for f in futures]
-        if baseline is not None:
-            baseline.result()       # raises even when every entry failed
+        # raises even when every entry failed
+        scored = [] if baseline is None else [(0.0, baseline.result()[2])]
 
-    rows = [entry for entry in entries if not isinstance(entry, str)]
-    failures = [{"index": i, "config": config_cells(cfg), "error": entry}
-                for i, (cfg, entry) in enumerate(zip(configs, entries)) if isinstance(entry, str)]
+    rows = [row for row, _ in entries if not isinstance(row, str)]
+    failures = [{"index": i, "config": config_cells(cfg), "error": row}
+                for i, (cfg, (row, _)) in enumerate(zip(configs, entries)) if isinstance(row, str)]
+    scored += [(v, s) for v, (row, s) in zip(spec.sweep, entries) if not isinstance(row, str)]
 
     _fill_eoc(spec, rows)
-    order = ([0.0] if spec.kind == "delta" else []) + spec.sweep
     return StudyResult(spec, rows, failures, _summary(spec, rows, failures),
-                       {v: scores[v] for v in order if v in scores})
+                       {} if score is None else dict(scored))
 
 
 def _work(cfg: ProblemConfig) -> int:

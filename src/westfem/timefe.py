@@ -51,8 +51,8 @@ class TimePartition:
     @classmethod
     def uniform(cls, T: float, tau: float) -> "TimePartition":
         """Uniform partition; tau must divide T to within 1e-12."""
-        if not (0 < T < np.inf and 0 < tau < np.inf):
-            raise ValueError(f"need finite T, tau > 0, got T={T}, tau={tau}")
+        if not (0 < T < np.inf and 0 < tau < np.inf and T / tau < np.inf):
+            raise ValueError(f"need finite T, tau > 0 and a finite T/tau, got T={T}, tau={tau}")
         nsl = int(round(T / tau))
         if nsl < 1 or abs(nsl * tau - T) > 1e-12 * max(1.0, abs(T)):
             raise ValueError(f"tau={tau} does not divide T={T}")

@@ -95,14 +95,22 @@ def test_missing_file_exits_1(tmp_path):
     assert cli.main(["run", str(tmp_path / "absent.json")]) == 1
 
 
+@pytest.mark.parametrize("command", ["run", "study"])
+def test_json_that_is_not_an_object_exits_1(tmp_path, capsys, command):
+    path = write_json(tmp_path / "list.json", [{"case": "smooth"}])
+    assert cli.main([command, path, "--out", str(tmp_path / "r")]) == 1
+    assert f"error: {path} must hold a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("bad", [{"tau": 0.3}, {"tau": 0}, {"n": 4.5}, {"p": 2.0},
                                  {"q": 3.0}, {"s_max": 2}, {"tol": 1e-3}, {"guard": 0.5},
                                  {"case": 5}, {"c": "1"}, {"k": None}, {"k": True},
-                                 {"delta": -1e-3}, {"c": 0}],
+                                 {"delta": -1e-3}, {"c": 0}, {"tau": 1e-320}],
                          ids=["tau-does-not-divide-T", "tau-zero", "n-not-integer",
                               "p-float", "q-float", "s_max-key", "tol-key", "guard-key",
                               "case-not-a-label", "c-string", "k-null", "k-bool",
-                              "delta-negative", "c-zero"])
+                              "delta-negative", "c-zero", "tau-underflows"])
 def test_bad_config_exits_1(tmp_path, capsys, bad):
     cfg = write_json(tmp_path / "c.json",
                      {"case": "smooth", "n": 2, "p": 1, "q": 2, "tau": 0.25, **bad})
@@ -195,11 +203,12 @@ def test_study_failure_exits_2(tmp_path):
     {"kind": "h", "case": "smooth", "sweep": [True, 2], "fixed": {"p": 1, "q": 2, "tau": 0.25}},
     {"kind": "tau", "case": "smooth", "sweep": [float("nan")], "fixed": {"n": 2, "p": 1, "q": 2}},
     {"kind": "h", "case": "smooth", "sweep": [float("inf")], "fixed": {"p": 1, "q": 2, "tau": 0.25}},
+    {"kind": "h", "case": "smooth", "sweep": [2], "fixed": {"p": 1, "q": 2, "tau": 1e-320}},
 ], ids=["missing-sweep", "fixed-tau-zero", "fixed-unknown-key", "sweep-not-whole",
         "delta-zero", "delta-negative", "fixed-p-float", "fixed-tol",
         "override-not-a-number", "override-c-negative", "fixed-swept-n",
         "override-swept-delta", "sweep-string", "sweep-strings", "sweep-bool",
-        "sweep-nan", "sweep-inf"])
+        "sweep-nan", "sweep-inf", "fixed-tau-underflows"])
 def test_bad_study_spec_exits_1(tmp_path, capsys, spec):
     path = write_json(tmp_path / "s.json", spec)     # json writes NaN and Infinity
     assert cli.main(["study", path, "--out", str(tmp_path / "r")]) == 1

@@ -1,7 +1,7 @@
 """tools/samebits.py: a dump compares equal to itself, NaN cells included,
 and a one-ulp change of one entry is named with its relative size.  The dump
-is cut down to one solve, the h and delta studies and one space: `compare` is
-under test, not the set of configurations."""
+is cut down to one solve, the h, delta and failing studies and one space:
+`compare` is under test, not the set of configurations."""
 
 import importlib.util
 from pathlib import Path
@@ -22,6 +22,10 @@ def test_dump_equals_itself_and_flags_one_ulp(tmp_path, monkeypatch):
     path = tmp_path / "a.npz"
     arrays = samebits.dump(path)
     assert np.isnan(arrays["study-h/eoc_dt"][0])      # NaN cells compare equal
+    assert arrays["study-delta/scored_values"].tolist() == [0.0, 1e-3, 1e-2]
+    assert arrays["study-failing/index"].tolist() == [0, 1]
+    assert arrays["study-failing/config-k"].tolist() == [-2e4, -2e4]
+    assert all(e.startswith("DegenerateCoefficient: ") for e in arrays["study-failing/error"])
     assert samebits.compare(path, path) == []
     assert samebits.main(["compare", str(path), str(path)]) == 0
 

@@ -301,6 +301,29 @@ def test_strict_aborts_on_failure():
         run_study(spec, strict=True)
 
 
+def test_strict_stops_the_sweep_while_a_larger_entry_runs(monkeypatch):
+    # entries start largest first: n = 8 runs slowly on one thread while
+    # n = 7 fails on the other; the queued entries are cancelled, so the
+    # smallest never solves (gathering results in sweep order would wait
+    # on n = 8 while the second thread solved all the rest)
+    started = []
+
+    def failing(cfg, *args, **kwargs):
+        started.append(cfg.n)
+        if cfg.n == 8:
+            time.sleep(0.5)
+        if cfg.n == 7:
+            raise SolverFailure("forced")
+        return run_problem(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(studies, "run_problem", failing)
+    spec = h_spec(sweep=list(range(2, 9)))
+    with pytest.raises(SolverFailure, match="forced"):
+        run_study(spec, threads=2, strict=True)
+    assert sorted(started[:2]) == [7, 8]
+    assert 2 not in started
+
+
 def test_output_files(h_result, tmp_path):
     paths = write_study_outputs(h_result, tmp_path, plot=True)
     for key in ("csv", "json", "svg"):

@@ -29,9 +29,10 @@ def test_uniform_partition_rejects_non_divisor():
 
 
 @pytest.mark.parametrize("T,tau", [(1.0, np.nan), (np.nan, 0.5), (np.inf, 0.5), (1.0, np.inf),
-                                   (np.inf, np.inf)])
+                                   (np.inf, np.inf), (1.0, 1e-320)])
 def test_uniform_partition_rejects_non_finite(T, tau):
-    # nan and inf failed in the conversion of T / tau to a slab count
+    # nan and inf, also a T / tau that overflows to inf, failed in the
+    # conversion of T / tau to a slab count
     with pytest.raises(ValueError, match="need finite T, tau > 0"):
         TimePartition.uniform(T, tau)
 

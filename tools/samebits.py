@@ -11,13 +11,15 @@ the case has a closed-form solution, both error functionals (on the default
 rule and sampling, on the rule of degree 2p + 8 and at 3(2q + 3) samples
 per slab) and the data functional; then the rows of a small study of each
 kind, every cell except the timings, and for the studies of
-RESIDUAL_STUDIES the maximum slab residual of each solve (a delta study's
-baseline first); then, per space of GEOMETRY, the dofmap (free dofs, cell
-dofs, dof coordinates), the quadrature points of the three rules,
-`smooth`'s f, dtu and grad_u sampled on each rule at one time and at an
-array of times, point values of an interpolant, the CSR arrays of the
-global mass and stiffness matrices, and the CSC arrays of the slab
-operator (`smooth`'s c and delta, tau = 0.25) at each q of LHS_Q.
+RESIDUAL_STUDIES the maximum slab residual of each solve with the sweep
+value it is keyed by (a delta study's baseline first); then the failure
+records (index, config cells, error text) of FAILING, a study whose
+entries fail and are recorded; then, per space of GEOMETRY, the dofmap
+(free dofs, cell dofs, dof coordinates), the quadrature points of the
+three rules, `smooth`'s f, dtu and grad_u sampled on each rule at one
+time and at an array of times, point values of an interpolant, the CSR
+arrays of the global mass and stiffness matrices, and the CSC arrays of
+the slab operator (`smooth`'s c and delta, tau = 0.25) at each q of LHS_Q.
 `compare` checks every array of A against B with np.array_equal (NaN equal
 to NaN), prints each key that is missing or differs, with a differing float
 array's largest |A - B| and largest |A - B|/|A| (its drift), and exits 1 if
@@ -61,6 +63,10 @@ STUDIES = {
     "pq": dict(kind="pq", case="smooth", sweep=[2, 3], fixed={"n": 2, "tau": 0.5}),
     "cfl": dict(kind="cfl", case="smooth", sweep=[2, 3], fixed={"p": 1, "q": 2, "tau": 1.0}),
 }
+
+# the guard 1 + k u degenerates in every entry, which the study records
+FAILING = dict(kind="h", case="smooth", sweep=[2, 3], fixed={"p": 1, "q": 2, "tau": 0.25},
+               case_overrides={"k": -2e4})
 
 TIMINGS = ("runtime_s", "runtime_err_s")
 
@@ -151,7 +157,15 @@ def collect() -> dict:
             if col not in TIMINGS:
                 out[f"study-{name}/{col}"] = _column([r[col] for r in result.rows])
         if result.scores:
+            out[f"study-{name}/scored_values"] = np.array(list(result.scores))
             out[f"study-{name}/max_slab_residual"] = np.array(list(result.scores.values()))
+    failures = wf.studies.run_study(wf.StudySpec(**FAILING)).failures
+    if not failures:
+        raise RuntimeError("the failing study solved")
+    for key in ("index", "error"):
+        out[f"study-failing/{key}"] = _column([f[key] for f in failures])
+    for col in failures[0]["config"]:
+        out[f"study-failing/config-{col}"] = _column([f["config"][col] for f in failures])
     for n, p in GEOMETRY:
         for key, arr in _geometry(wf, n, p).items():
             out[f"space-n{n}-p{p}/{key}"] = np.asarray(arr)
